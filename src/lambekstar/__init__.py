@@ -19,7 +19,7 @@ from .formula import (
 from .prover import (
     DEFAULT_BUDGET, ProofResult, ProverSession,
     prove, prove_focused, naive_prove, normalize_plus,
-    invert_to_atomic, principal_candidates, decompose_at,
+    invert_to_atomic, principal_candidates,
     check_derivation, kernel_backend,
     ProofRecorder, enable_recording, disable_recording, active_recorder,
 )

@@ -25,17 +25,10 @@ derivations (or False), which lets repeated queries share subtrees.
 
 from .formula import (
     ATOM, UNDER, OVER,
-    BudgetError, Derivation, Sequent, _gmul, _ginv,
+    BudgetError, Derivation, Sequent, _image,
 )
 
 _BUSY = object()
-
-
-def _image(formulas):
-    acc = ()
-    for f in formulas:
-        acc = _gmul(acc, f.fgw)
-    return acc
 
 
 def search(ant, succ, memo, budget, restricted):

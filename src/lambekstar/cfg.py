@@ -6,8 +6,11 @@ are capitalised tokens (``S``, ``NP_2``), terminals are lowercase tokens
 
 * a line-oriented parser/renderer (``LHS -> alt1 | alt2``, ``#`` comments,
   optional ``@start`` directive),
-* a CYK membership oracle working on an internally cached Chomsky normal
-  form, so no transformation is required before querying,
+* one Chomsky normal form pipeline (DEL, UNIT, pruning, TERM, BIN) that
+  both the CYK membership oracle and the Greibach conversion start from,
+  so the two cannot disagree about a grammar's language,
+* a CYK membership oracle working on that normal form, cached per
+  grammar, so no transformation is required before querying,
 * length-lexicographic word enumeration by generate-and-test,
 * conversion to *binary Greibach normal form* (every rule is
   ``N => a``, ``N => a B`` or ``N => a B C``) via the left-corner
@@ -229,7 +232,7 @@ def render_cfg(g: Grammar) -> str:
 
 
 # --------------------------------------------------------------------------
-# membership oracle (CYK over a cached Chomsky normal form)
+# Chomsky normal form, shared by the CYK oracle and the GNF conversion
 
 def _nullable_set(rules: Sequence[tuple[str, tuple]]) -> set:
     nullable: set = set()
@@ -243,63 +246,124 @@ def _nullable_set(rules: Sequence[tuple[str, tuple]]) -> set:
     return nullable
 
 
-@lru_cache(maxsize=None)
-def _cyk_tables(g: Grammar):
-    rules = [(lhs, tuple(rhs)) for lhs, rhs in g.rules]
-    terminals = set(g.terminals)
+def _prune(rules: list[tuple[object, tuple]], start,
+           terminals: set) -> list[tuple[object, tuple]]:
+    """Keep only rules made of productive symbols reachable from start."""
+    productive: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in rules:
+            if lhs not in productive and all(
+                    s in terminals or s in productive for s in rhs):
+                productive.add(lhs)
+                changed = True
+    good = [(lhs, rhs) for lhs, rhs in rules
+            if lhs in productive
+            and all(s in terminals or s in productive for s in rhs)]
+    reachable = {start}
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in good:
+            if lhs in reachable:
+                for s in rhs:
+                    if s not in terminals and s not in reachable:
+                        reachable.add(s)
+                        changed = True
+    return [(lhs, rhs) for lhs, rhs in good if lhs in reachable]
 
-    # TERM: in rules of length >= 2, lift terminals to fresh symbols.
-    lifted: list[tuple[object, tuple]] = []
+
+def _cnf(rules: Sequence[tuple[object, tuple]], start,
+         terminals: set) -> list[tuple[object, tuple]]:
+    """Chomsky normal form of ``rules`` for the non-empty words.
+
+    DEL drops nullable occurrences, UNIT closes over single-nonterminal
+    rules, useless symbols are pruned, TERM lifts terminals in long
+    right-hand sides to ``("t", a)`` and BIN splits long right-hand sides
+    with fresh ``("b", i)`` symbols.  Every resulting rule is ``N -> a`` or
+    ``N -> B C``; the order is deterministic, so it fixes the names and the
+    rule order of the binary GNF built from it.
+    """
+    # DEL
+    nullable = _nullable_set(rules)
+    no_eps: list[tuple[object, tuple]] = []
+    seen: set = set()
     for lhs, rhs in rules:
+        options = [(True, False) if s in nullable else (True,) for s in rhs]
+        for mask in itertools.product(*options):
+            variant = tuple(s for s, m in zip(rhs, mask) if m)
+            if variant and (lhs, variant) not in seen:
+                seen.add((lhs, variant))
+                no_eps.append((lhs, variant))
+
+    # UNIT: every nonterminal takes the non-unit rules of the nonterminals
+    # its unit rules reach (all still grammar names here, so sortable)
+    units: dict[object, list] = {}
+    proper: dict[object, list[tuple]] = {}
+    order: list[object] = []
+    for lhs, rhs in no_eps:
+        if lhs not in proper:
+            proper[lhs] = []
+            order.append(lhs)
+        if len(rhs) == 1 and rhs[0] not in terminals:
+            units.setdefault(lhs, []).append(rhs[0])
+        else:
+            proper[lhs].append(rhs)
+    no_units: list[tuple[object, tuple]] = []
+    seen = set()
+    for a in order:
+        reach = {a}
+        frontier = [a]
+        while frontier:
+            for b in units.get(frontier.pop(), ()):
+                if b not in reach:
+                    reach.add(b)
+                    frontier.append(b)
+        for b in sorted(reach):
+            for rhs in proper.get(b, ()):
+                if (a, rhs) not in seen:
+                    seen.add((a, rhs))
+                    no_units.append((a, rhs))
+    no_units = _prune(no_units, start, terminals)
+
+    # TERM
+    lifted: list[tuple[object, tuple]] = []
+    needed_t: list[str] = []
+    for lhs, rhs in no_units:
         if len(rhs) >= 2:
+            for s in rhs:
+                if s in terminals and s not in needed_t:
+                    needed_t.append(s)
             rhs = tuple(("t", s) if s in terminals else s for s in rhs)
         lifted.append((lhs, rhs))
-    for t in terminals:
-        lifted.append((("t", t), (t,)))
+    lifted.extend((("t", t), (t,)) for t in needed_t)
 
-    # BIN: binarize long right-hand sides.
-    binned: list[tuple[object, tuple]] = []
+    # BIN
+    cnf: list[tuple[object, tuple]] = []
     counter = itertools.count()
     for lhs, rhs in lifted:
         while len(rhs) > 2:
             fresh = ("b", next(counter))
-            binned.append((lhs, (rhs[0], fresh)))
+            cnf.append((lhs, (rhs[0], fresh)))
             lhs, rhs = fresh, rhs[1:]
-        binned.append((lhs, rhs))
+        cnf.append((lhs, rhs))
+    return cnf
 
-    # DEL: drop nullable occurrences (the empty word is tracked separately).
-    nullable = _nullable_set(binned)
-    no_eps: list[tuple[object, tuple]] = []
-    for lhs, rhs in binned:
-        keep = [s for s in rhs]
-        options = [(True, False) if s in nullable else (True,) for s in keep]
-        for mask in itertools.product(*options):
-            variant = tuple(s for s, m in zip(keep, mask) if m)
-            if variant and (lhs, variant) not in no_eps:
-                no_eps.append((lhs, variant))
 
-    # UNIT: close over single-nonterminal rules.
-    unit_pairs = {(lhs, lhs) for lhs, _ in no_eps}
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in no_eps:
-            if len(rhs) == 1 and rhs[0] not in terminals:
-                for a, b in list(unit_pairs):
-                    if b == lhs and (a, rhs[0]) not in unit_pairs:
-                        unit_pairs.add((a, rhs[0]))
-                        changed = True
+# --------------------------------------------------------------------------
+# membership oracle (CYK over a cached Chomsky normal form)
+
+@lru_cache(maxsize=None)
+def _cyk_tables(g: Grammar):
     term_map: dict[str, set] = {}
     bin_map: dict[tuple, set] = {}
-    for a, b in unit_pairs:
-        for lhs, rhs in no_eps:
-            if lhs != b:
-                continue
-            if len(rhs) == 1 and rhs[0] in terminals:
-                term_map.setdefault(rhs[0], set()).add(a)
-            elif len(rhs) == 2:
-                bin_map.setdefault(rhs, set()).add(a)
-    return term_map, bin_map, g.start in _nullable_set(rules)
+    for lhs, rhs in _cnf(g.rules, g.start, set(g.terminals)):
+        if len(rhs) == 1:
+            term_map.setdefault(rhs[0], set()).add(lhs)
+        else:
+            bin_map.setdefault(rhs, set()).add(lhs)
+    return term_map, bin_map, g.start in _nullable_set(g.rules)
 
 
 def cyk_member(g: Grammar, w: Sequence[str]) -> bool:
@@ -341,34 +405,6 @@ def enumerate_words(g: Grammar, max_len: int) -> Iterator[tuple[str, ...]]:
 
 # --------------------------------------------------------------------------
 # binary Greibach normal form
-
-def _prune(rules: list[tuple[object, tuple]], start,
-           terminals: set) -> list[tuple[object, tuple]]:
-    """Keep only rules made of productive symbols reachable from start."""
-    productive: set = set()
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in rules:
-            if lhs not in productive and all(
-                    s in terminals or s in productive for s in rhs):
-                productive.add(lhs)
-                changed = True
-    good = [(lhs, rhs) for lhs, rhs in rules
-            if lhs in productive
-            and all(s in terminals or s in productive for s in rhs)]
-    reachable = {start}
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in good:
-            if lhs in reachable:
-                for s in rhs:
-                    if s not in terminals and s not in reachable:
-                        reachable.add(s)
-                        changed = True
-    return [(lhs, rhs) for lhs, rhs in good if lhs in reachable]
-
 
 def _already_gnf2(rules: Iterable[tuple[object, tuple]],
                   terminals: set) -> bool:
@@ -502,86 +538,20 @@ def to_gnf2(g: Grammar) -> GnfCfg:
             "non-empty words can be compiled")
     terminals = set(g.terminals)
     declared = g.terminals
-    rules: list[tuple[object, tuple]] = list(g.rules)
-    rules = _prune(rules, g.start, terminals)
+    rules = _prune(list(g.rules), g.start, terminals)
     if not rules:
         warnings.warn("the grammar generates the empty language",
                       stacklevel=2)
         return GnfCfg((), g.start, declared_terminals=declared)
-    if _already_gnf2(rules, terminals):
-        gnf_rules = tuple(
-            (lhs, rhs[0],
-             rhs[1] if len(rhs) > 1 else None,
-             rhs[2] if len(rhs) > 2 else None)
-            for lhs, rhs in rules)
-        return GnfCfg(gnf_rules, g.start, declared_terminals=declared)
-
-    # epsilon elimination (start is not nullable here)
-    nullable = _nullable_set(rules)
-    no_eps: list[tuple[object, tuple]] = []
-    for lhs, rhs in rules:
-        options = [(True, False) if s in nullable else (True,) for s in rhs]
-        for mask in itertools.product(*options):
-            variant = tuple(s for s, m in zip(rhs, mask) if m)
-            if variant and (lhs, variant) not in no_eps:
-                no_eps.append((lhs, variant))
-
-    # unit elimination
-    lhss = {lhs for lhs, _ in no_eps}
-    unit_pairs = {(a, a) for a in lhss}
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in no_eps:
-            if len(rhs) == 1 and rhs[0] not in terminals:
-                for a, b in list(unit_pairs):
-                    if b == lhs and (a, rhs[0]) not in unit_pairs:
-                        unit_pairs.add((a, rhs[0]))
-                        changed = True
-    no_units: list[tuple[object, tuple]] = []
-    for a in sorted(lhss, key=[l for l, _ in no_eps].index):
-        for a2, b in sorted(unit_pairs, key=lambda p: str(p)):
-            if a2 != a:
-                continue
-            for lhs, rhs in no_eps:
-                if lhs == b and not (len(rhs) == 1 and rhs[0] not in terminals):
-                    if (a, rhs) not in no_units:
-                        no_units.append((a, rhs))
-    no_units = _prune(no_units, g.start, terminals)
-
-    # Chomsky normal form: lift terminals, then binarize
-    lifted: list[tuple[object, tuple]] = []
-    needed_t: list[str] = []
-    for lhs, rhs in no_units:
-        if len(rhs) >= 2:
-            new_rhs = []
-            for s in rhs:
-                if s in terminals:
-                    new_rhs.append(("t", s))
-                    if s not in needed_t:
-                        needed_t.append(s)
-                else:
-                    new_rhs.append(s)
-            rhs = tuple(new_rhs)
-        lifted.append((lhs, rhs))
-    for t in needed_t:
-        lifted.append((("t", t), (t,)))
-    cnf: list[tuple[object, tuple]] = []
-    counter = itertools.count()
-    for lhs, rhs in lifted:
-        while len(rhs) > 2:
-            fresh = ("b", next(counter))
-            cnf.append((lhs, (rhs[0], fresh)))
-            lhs, rhs = fresh, rhs[1:]
-        cnf.append((lhs, rhs))
-
-    gnf = _left_corner(cnf, terminals, g.start)
-    named, start = _assign_names(gnf, g.start, terminals)
+    start = g.start
+    if not _already_gnf2(rules, terminals):
+        gnf = _left_corner(_cnf(rules, start, terminals), terminals, start)
+        rules, start = _assign_names(gnf, start, terminals)
     gnf_rules = tuple(
         (lhs, rhs[0],
          rhs[1] if len(rhs) > 1 else None,
          rhs[2] if len(rhs) > 2 else None)
-        for lhs, rhs in named)
+        for lhs, rhs in rules)
     return GnfCfg(gnf_rules, start, declared_terminals=declared)
 
 

@@ -400,6 +400,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetError as e:
         print(f"budget exhausted: {e} (raise --budget)", file=sys.stderr)
         return 3
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
     except (ParseError, FragmentError, GrammarError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

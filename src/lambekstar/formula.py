@@ -90,6 +90,14 @@ def _ginv(a: tuple) -> tuple:
     return tuple((name, -sign) for name, sign in reversed(a))
 
 
+def _image(formulas) -> tuple:
+    """Free-group image of a formula sequence; every member must have one."""
+    acc = ()
+    for f in formulas:
+        acc = _gmul(acc, f.fgw)
+    return acc
+
+
 class GroupWord:
     """An element of the free group over atom names (reduced word)."""
 
@@ -189,6 +197,14 @@ def _intern(kind: int, name: str | None, left: Formula | None,
 
     _table[key] = f
     return f
+
+
+def _rebuild(f: Formula, left: Formula | None,
+             right: Formula | None) -> Formula:
+    """``f`` with new children, or ``f`` itself when both are unchanged."""
+    if left is f.left and right is f.right:
+        return f
+    return _intern(f.kind, f.name, left, right)
 
 
 def Atom(name: str) -> Formula:
@@ -448,13 +464,12 @@ def fg_interp(f: Formula) -> GroupWord:
 
 
 def sequence_image(formulas: Iterable[Formula]) -> GroupWord:
-    acc: tuple = ()
+    formulas = tuple(formulas)
     for f in formulas:
         if f.fgw is None:
             raise FragmentError(
                 f"no free-group image for {render_formula(f)}")
-        acc = _gmul(acc, f.fgw)
-    return GroupWord(acc)
+    return GroupWord(_image(formulas))
 
 
 def zero_balanced(f: Formula) -> bool:

@@ -30,14 +30,14 @@ from .checker import assert_valid_derivation, check_derivation
 from .formula import (
     ATOM, UNIT, UNDER, OVER, PROD, STAR, PLUS, OR, AND,
     BudgetError, CertificateError, Derivation, Formula, FragmentError,
-    GroupWord, Prod, Sequent, Star, Unit,
+    GroupWord, Prod, Sequent, Star, Unit, _image, _rebuild,
     division_pure, render_formula, render_sequent, sequence_image,
 )
 
 __all__ = [
     "DEFAULT_BUDGET", "ProofResult", "ProverSession",
     "prove", "prove_focused", "naive_prove", "normalize_plus",
-    "invert_to_atomic", "principal_candidates", "decompose_at",
+    "invert_to_atomic", "principal_candidates",
     "check_derivation", "kernel_backend",
     "ProofRecorder", "enable_recording", "disable_recording",
     "active_recorder",
@@ -83,11 +83,7 @@ def normalize_plus(f: Formula) -> Formula:
         return f
     left = normalize_plus(f.left)
     right = normalize_plus(f.right) if f.right is not None else None
-    if left is f.left and right is f.right:
-        return f
-    k = f.kind
-    from .formula import _intern
-    return _intern(k, f.name, left, right)
+    return _rebuild(f, left, right)
 
 
 def _scan(f: Formula, positive: bool, restricted: bool) -> None:
@@ -143,7 +139,8 @@ def prove(sequent: Sequent, *, restricted: bool = False,
     Division-pure sequents go to the focused kernel; anything else to the
     general engine.  ``A^+`` is normalised to ``A.A^*`` first, so the
     certificate's sequents mention only ``^*``.  Raises
-    :class:`BudgetError` after ``budget`` expansion steps.
+    :class:`BudgetError` after ``budget`` expansion steps; the session stays
+    usable, because an interrupted search drops its in-progress entries.
     """
     if session is not None and session.restricted != restricted:
         raise ValueError("session was created for the other restriction mode")
@@ -151,13 +148,21 @@ def prove(sequent: Sequent, *, restricted: bool = False,
     if session is None:
         session = ProverSession(restricted)
     box = [budget]
-    if all(division_pure(f) for f in seq.antecedent) \
-            and division_pure(seq.succedent):
-        d = _search.search(seq.antecedent, seq.succedent, session.memo,
-                           box, restricted)
-    else:
-        d = _general(seq.antecedent, seq.succedent, session.memo, box,
-                     restricted)
+    try:
+        if all(division_pure(f) for f in seq.antecedent) \
+                and division_pure(seq.succedent):
+            d = _search.search(seq.antecedent, seq.succedent, session.memo,
+                               box, restricted)
+        else:
+            d = _general(seq.antecedent, seq.succedent, session.memo, box,
+                         restricted)
+    except BaseException:
+        # an interrupted search leaves in-progress markers that would read
+        # as refutations later; finished entries stay valid
+        memo = session.memo
+        for key in [k for k, v in memo.items() if v is _search._BUSY]:
+            del memo[key]
+        raise
     session.steps_used += budget - box[0]
     result = ProofResult(d is not None, d)
     if d is not None:
@@ -200,54 +205,8 @@ def principal_candidates(sequent: Sequent) -> tuple[int, ...]:
                  if f.kind != ATOM and f.top == succ.name)
 
 
-def decompose_at(sequent: Sequent, i: int) -> Iterator[tuple[Sequent, ...]]:
-    """Enumerate the complete peels of antecedent formula ``i``.
-
-    Yields tuples of side-premise sequents: one per denominator of the
-    chosen formula, in the order the rules consume them (outermost
-    connective first).  The sequent is derivable with formula ``i`` as the
-    axiom partner iff for some yielded tuple every member is derivable.
-    """
-    succ = sequent.succedent
-    if succ.kind != ATOM:
-        raise FragmentError("decompose_at needs an atomic succedent")
-    ant = sequent.antecedent
-    if not 0 <= i < len(ant):
-        raise ValueError(f"no antecedent position {i}")
-
-    def peel(lctx: tuple, f: Formula, rctx: tuple) -> Iterator[tuple]:
-        if f.kind == ATOM:
-            if f is succ and not lctx and not rctx:
-                yield ()
-            return
-        if f.kind == UNDER:
-            for j in range(len(lctx), -1, -1):
-                head = Sequent(lctx[j:], f.left)
-                for rest in peel(lctx[:j], f.right, rctx):
-                    yield (head,) + rest
-        elif f.kind == OVER:
-            for j in range(len(rctx) + 1):
-                head = Sequent(rctx[:j], f.right)
-                for rest in peel(lctx, f.left, rctx[j:]):
-                    yield (head,) + rest
-
-    return peel(ant[:i], ant[i], ant[i + 1:])
-
-
 # --------------------------------------------------------------------------
 # general engine
-
-def _images_equal(ant: tuple, succ: Formula) -> bool | None:
-    """Compare free-group images, or None when outside the fragment."""
-    if succ.fgw is None:
-        return None
-    acc: tuple = ()
-    for f in ant:
-        if f.fgw is None:
-            return None
-        acc = _search._gmul(acc, f.fgw)
-    return acc == succ.fgw
-
 
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Cut positions splitting range(n) into k non-empty blocks."""
@@ -315,8 +274,8 @@ def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
             return None if p2 is None \
                 else Derivation("|->", conclusion, (p1, p2))
 
-    eq = _images_equal(ant, succ)
-    if eq is False:
+    if succ.fgw is not None and all(f.fgw is not None for f in ant) \
+            and _image(ant) != succ.fgw:
         return None
 
     # axioms

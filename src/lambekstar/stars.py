@@ -31,7 +31,7 @@ from .checker import assert_valid_derivation
 from .formula import (
     ATOM, OVER, PLUS, PROD, STAR, UNDER,
     Derivation, Formula, FragmentError, LambekError, Or, Prod, Sequent,
-    Star, Unit, division_pure, render_formula, render_sequent,
+    Star, Unit, _rebuild, division_pure, render_formula, render_sequent,
 )
 from .prover import DEFAULT_BUDGET, ProverSession, normalize_plus, prove
 
@@ -80,13 +80,6 @@ def _approx(f: Formula, n: int, positive: bool) -> Formula:
     left = _approx(f.left, n, positive)
     right = _approx(f.right, n, positive) if f.right is not None else None
     return _rebuild(f, left, right)
-
-
-def _rebuild(f: Formula, left: Formula, right: Formula | None) -> Formula:
-    if left is f.left and right is f.right:
-        return f
-    from .formula import _intern
-    return _intern(f.kind, f.name, left, right)
 
 
 def approximate(s: Sequent, n: int) -> Sequent:

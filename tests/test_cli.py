@@ -80,6 +80,12 @@ class TestProve:
         assert r.returncode == 3
         assert "budget" in r.stderr.lower()
 
+    def test_deeply_nested_input_is_a_usage_error(self):
+        r = run_cli("prove", "p -> " + "p\\" * 2000 + "p")
+        assert r.returncode == 2
+        assert "nested too deeply" in r.stderr
+        assert "Traceback" not in r.stderr
+
 
 class TestSmallVerbs:
     def test_fmt_canonicalizes(self):

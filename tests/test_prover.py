@@ -148,6 +148,17 @@ class TestEngines:
         with pytest.raises(BudgetError):
             naive_prove(Sequent((S, S), S), budget=5)
 
+    @pytest.mark.parametrize("text,budget", [
+        *(("a\\b, b\\c, c\\d, d\\e -> a\\e", b) for b in range(1, 9)),
+        *(("a, a\\b.c -> b.c", b) for b in range(1, 6)),
+    ])
+    def test_budget_error_leaves_session_sound(self, text, budget):
+        s = parse_sequent(text)
+        sess = ProverSession()
+        with pytest.raises(BudgetError):
+            prove(s, session=sess, budget=budget)
+        assert prove(s, session=sess).proved == naive_prove(s)
+
     def test_focused_rejects_general_connectives(self):
         with pytest.raises(FragmentError):
             prove_focused(parse_sequent("p.q -> p.q"))
