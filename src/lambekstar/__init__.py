@@ -21,7 +21,7 @@ from .prover import (
     prove, prove_focused, naive_prove, normalize_plus,
     invert_to_atomic, principal_candidates,
     check_derivation, kernel_backend,
-    ProofRecorder, enable_recording, disable_recording, active_recorder,
+    ProofRecorder, enable_recording, disable_recording,
 )
 from .cfg import (
     Grammar, GnfCfg, GrammarError, EmptyWordError,

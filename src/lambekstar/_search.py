@@ -18,17 +18,16 @@ Left rules only ever need to be applied to the formula that will become the
 axiom partner — applications to other formulas can be permuted into the
 side premises — so restricting to head-matching candidates and contiguous
 peels is complete for this fragment.  Every recursion strictly shrinks the
-node count, so memoisation makes the search terminate; an in-progress
-sentinel is kept anyway as a guard.  Results are memoised as finished
-derivations (or False), which lets repeated queries share subtrees.
+node count, so the search never meets a state it is still expanding and
+terminates.  A state is memoised only once it is decided, as its finished
+derivation or False; repeated queries share subtrees, and a search cut
+short leaves nothing behind but finished results.
 """
 
 from .formula import (
     ATOM, UNDER, OVER,
     BudgetError, Derivation, Sequent, _image,
 )
-
-_BUSY = object()
 
 
 def search(ant, succ, memo, budget, restricted):
@@ -62,7 +61,7 @@ def search(ant, succ, memo, budget, restricted):
     key = (ant, succ)
     hit = memo.get(key, None)
     if hit is not None:
-        if hit is _BUSY or hit is False:
+        if hit is False:
             return None
         result = hit
     else:
@@ -70,7 +69,6 @@ def search(ant, succ, memo, budget, restricted):
         if b < 0:
             raise BudgetError("proof-search budget exhausted")
         budget[0] = b
-        memo[key] = _BUSY
         result = _solve_atomic(ant, succ, memo, budget, restricted)
         memo[key] = result if result is not None else False
         if result is None:
@@ -111,8 +109,6 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted):
     key = (lctx, f, rctx, succ)
     hit = memo.get(key, None)
     if hit is not None:
-        if hit is _BUSY:
-            return None
         return hit if hit is not False else None
 
     b = budget[0] - 1
@@ -120,7 +116,6 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted):
         raise BudgetError("proof-search budget exhausted")
     budget[0] = b
 
-    memo[key] = _BUSY
     result = None
     conclusion = None
 

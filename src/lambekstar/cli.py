@@ -24,7 +24,7 @@ from typing import Sequence
 from . import __version__
 from .cfg import (Grammar, GrammarError, cyk_member, parse_cfg, render_cfg,
                   to_gnf2)
-from .checker import check_derivation
+from .checker import assert_valid_derivation
 from .compiler import (CompiledGrammar, accepts, compile_gaifman,
                        compile_unique)
 from .formula import (BudgetError, Derivation, FragmentError, LambekError,
@@ -92,7 +92,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     record: dict = {"sequent": render_sequent(s), "verdict": result.verdict}
     lines = [result.verdict]
     if result.proved:
-        assert check_derivation(result.derivation, restricted=args.restrict)
+        assert_valid_derivation(result.derivation, args.restrict)
         lines.append(render_derivation(result.derivation))
         record["derivation"] = _derivation_record(result.derivation)
         if args.emit_cert:

@@ -3,9 +3,10 @@
 Formulas are hash-consed: the factory functions (``Atom``, ``Under``, ...)
 return one shared object per distinct term, so structural equality coincides
 with object identity and formulas can be used directly as dict keys.  Every
-term caches its node count (``size``), its head atom (``top``) and its
-free-group image (``fgw``) at construction time; the latter two are ``None``
-outside the fragments where they make sense.
+term caches its node count (``size``), the connectives it uses (``kinds``),
+its head atom (``top``) and its free-group image (``fgw``) at construction
+time; the last two are ``None`` outside the fragments where they make
+sense.
 
 Concrete syntax, loosest to tightest::
 
@@ -137,13 +138,15 @@ class GroupWord:
 class Formula:
     """A hash-consed formula node.  Build via the factory functions."""
 
-    __slots__ = ("kind", "name", "left", "right", "size", "top", "fgw")
+    __slots__ = ("kind", "name", "left", "right", "size", "kinds", "top",
+                 "fgw")
 
     kind: int
     name: str | None          # atom name, for ATOM nodes
     left: "Formula | None"
     right: "Formula | None"
     size: int                 # node count
+    kinds: int                # OR of 1 << kind over every node
     top: str | None           # head atom through \ and / numerators
     fgw: tuple | None         # free-group image, None outside ·,\,/,1
 
@@ -172,6 +175,8 @@ def _intern(kind: int, name: str | None, left: Formula | None,
     f.right = right
     f.size = 1 + (left.size if left is not None else 0) \
                + (right.size if right is not None else 0)
+    f.kinds = 1 << kind | (left.kinds if left is not None else 0) \
+                        | (right.kinds if right is not None else 0)
 
     if kind == ATOM:
         f.top = name
@@ -487,11 +492,7 @@ def top_of(f: Formula) -> str:
 
 def division_pure(f: Formula) -> bool:
     """True when ``f`` uses only atoms, \\ and /."""
-    if f.kind == ATOM:
-        return True
-    if f.kind in (UNDER, OVER):
-        return division_pure(f.left) and division_pure(f.right)
-    return False
+    return not f.kinds & ~(1 << ATOM | 1 << UNDER | 1 << OVER)
 
 
 def atoms_of(f: Formula) -> frozenset[str]:

@@ -56,14 +56,9 @@ class JoinSynthesisError(LambekError):
 
 
 def _check_language(f: Formula) -> None:
-    if f.kind in (ATOM,):
-        return
-    if f.kind in (UNDER, OVER, PROD):
-        _check_language(f.left)
-        _check_language(f.right)
-        return
-    raise FragmentError(
-        f"join machinery works in the ., \\, / language; got {f}")
+    if f.kinds & ~(1 << ATOM | 1 << UNDER | 1 << OVER | 1 << PROD):
+        raise FragmentError(
+            f"join machinery works in the ., \\, / language; got {f}")
 
 
 # --------------------------------------------------------------------------

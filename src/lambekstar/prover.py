@@ -40,7 +40,6 @@ __all__ = [
     "invert_to_atomic", "principal_candidates",
     "check_derivation", "kernel_backend",
     "ProofRecorder", "enable_recording", "disable_recording",
-    "active_recorder",
 ]
 
 DEFAULT_BUDGET = 10 ** 6
@@ -76,20 +75,20 @@ class ProverSession:
 
 def normalize_plus(f: Formula) -> Formula:
     """Rewrite every ``A^+`` subformula to ``A.A^*`` (shared-structure safe)."""
+    if not f.kinds & 1 << PLUS:
+        return f
     if f.kind == PLUS:
         a = normalize_plus(f.left)
         return Prod(a, Star(a))
-    if f.left is None:
-        return f
     left = normalize_plus(f.left)
     right = normalize_plus(f.right) if f.right is not None else None
     return _rebuild(f, left, right)
 
 
 def _scan(f: Formula, positive: bool, restricted: bool) -> None:
-    k = f.kind
-    if k == ATOM:
+    if not f.kinds & (1 << UNIT | 1 << STAR | 1 << PLUS):
         return
+    k = f.kind
     if k == UNIT:
         if restricted:
             raise FragmentError(
@@ -139,8 +138,9 @@ def prove(sequent: Sequent, *, restricted: bool = False,
     Division-pure sequents go to the focused kernel; anything else to the
     general engine.  ``A^+`` is normalised to ``A.A^*`` first, so the
     certificate's sequents mention only ``^*``.  Raises
-    :class:`BudgetError` after ``budget`` expansion steps; the session stays
-    usable, because an interrupted search drops its in-progress entries.
+    :class:`BudgetError` after ``budget`` expansion steps, which still count
+    in ``session.steps_used``; the session stays sound, because the memo
+    only ever holds finished results.
     """
     if session is not None and session.restricted != restricted:
         raise ValueError("session was created for the other restriction mode")
@@ -156,14 +156,8 @@ def prove(sequent: Sequent, *, restricted: bool = False,
         else:
             d = _general(seq.antecedent, seq.succedent, session.memo, box,
                          restricted)
-    except BaseException:
-        # an interrupted search leaves in-progress markers that would read
-        # as refutations later; finished entries stay valid
-        memo = session.memo
-        for key in [k for k, v in memo.items() if v is _search._BUSY]:
-            del memo[key]
-        raise
-    session.steps_used += budget - box[0]
+    finally:
+        session.steps_used += budget - box[0]
     result = ProofResult(d is not None, d)
     if d is not None:
         _record(seq, d, restricted)
@@ -221,14 +215,11 @@ def _general(ant: tuple, succ: Formula, memo: dict, budget: list,
     key = (ant, succ)
     hit = memo.get(key, None)
     if hit is not None:
-        if hit is _search._BUSY or hit is False:
-            return None
-        return hit
+        return hit if hit is not False else None
     b = budget[0] - 1
     if b < 0:
         raise BudgetError("proof-search budget exhausted")
     budget[0] = b
-    memo[key] = _search._BUSY
     d = _general_step(ant, succ, memo, budget, restricted)
     memo[key] = d if d is not None else False
     return d
@@ -496,10 +487,6 @@ def enable_recording(recorder: ProofRecorder | None = None) -> ProofRecorder:
 def disable_recording() -> None:
     global _recorder
     _recorder = None
-
-
-def active_recorder() -> ProofRecorder | None:
-    return _recorder
 
 
 def _record(sequent: Sequent, derivation: Derivation,

@@ -65,9 +65,9 @@ def _bounded_power(a: Formula, n: int) -> Formula:
 
 
 def _approx(f: Formula, n: int, positive: bool) -> Formula:
-    kind = f.kind
-    if kind == ATOM or f.left is None:
+    if not f.kinds & 1 << STAR:
         return f
+    kind = f.kind
     if kind == STAR:
         inner = _approx(f.left, n, positive)
         return Star(inner) if positive else _bounded_power(inner, n)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 from lambekstar import (Atom, Formula, Grammar, Over, Plus, Prod, Sequent,
                         Star, Under)
@@ -122,11 +123,11 @@ def oracle_words(g: Grammar, max_len: int, *,
 
     words: set[tuple[str, ...]] = set()
     seen: set[tuple[str, ...]] = set()
-    frontier = [(g.start,)]
+    frontier = deque([(g.start,)])
     seen.add(frontier[0])
     processed = 0
     while frontier:
-        form = frontier.pop()
+        form = frontier.popleft()
         processed += 1
         if processed > form_limit:
             raise OracleOverflow(f"more than {form_limit} sentential forms")

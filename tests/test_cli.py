@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from lambekstar import Derivation, ProofResult, cli, parse_sequent
+
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
@@ -85,6 +87,13 @@ class TestProve:
         assert r.returncode == 2
         assert "nested too deeply" in r.stderr
         assert "Traceback" not in r.stderr
+
+    def test_bad_certificate_is_an_error(self, monkeypatch, capsys):
+        forged = Derivation("Ax", parse_sequent("p -> q"))
+        monkeypatch.setattr(cli, "prove",
+                            lambda *args, **kwargs: ProofResult(True, forged))
+        assert cli.main(["prove", "p -> q"]) == 2
+        assert "bad [Ax] node" in capsys.readouterr().err
 
 
 class TestSmallVerbs:

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from lambekstar import (And, Atom, BudgetError, CertificateError,
                         FragmentError, Or, Over, Plus, Prod, ProverSession,
                         Sequent, Star, Under, Unit, check_derivation,
                         kernel_backend, naive_prove, normalize_plus,
-                        parse_sequent, prove, prove_focused,
+                        parse_sequent, prove, prove_focused, render_sequent,
                         invert_to_atomic, principal_candidates, sentinel)
 from lambekstar.checker import assert_valid_derivation
 from lambekstar.formula import Derivation
 
-from helpers import random_division_sequent
+from helpers import random_division_pure, random_division_sequent
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 S = sentinel("p", "q", "r")
@@ -104,6 +106,25 @@ class TestPins:
                          restricted=True).proved
 
 
+def random_budget_cases(n: int, seed: int = 20261018) -> list:
+    """Seeded (sequent text, budget) pairs, each budget below the steps the
+    sequent needs in a fresh session; every second sequent gets a product
+    succedent, so it goes to the general engine."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < n:
+        s = random_division_sequent(rng, 9)
+        if len(cases) % 2:
+            extra = random_division_pure(rng, rng.randint(1, 3))
+            s = Sequent(s.antecedent + (extra,), Prod(s.succedent, extra))
+        sess = ProverSession()
+        prove(s, session=sess)
+        if sess.steps_used > 1:
+            cases.append((render_sequent(s),
+                          rng.randrange(1, sess.steps_used)))
+    return cases
+
+
 # --------------------------------------------------------------------------
 # engine agreement and sessions
 
@@ -151,12 +172,16 @@ class TestEngines:
     @pytest.mark.parametrize("text,budget", [
         *(("a\\b, b\\c, c\\d, d\\e -> a\\e", b) for b in range(1, 9)),
         *(("a, a\\b.c -> b.c", b) for b in range(1, 6)),
+        *random_budget_cases(16),
     ])
     def test_budget_error_leaves_session_sound(self, text, budget):
         s = parse_sequent(text)
         sess = ProverSession()
         with pytest.raises(BudgetError):
             prove(s, session=sess, budget=budget)
+        assert sess.steps_used == budget
+        assert all(v is False or isinstance(v, Derivation)
+                   for v in sess.memo.values())
         assert prove(s, session=sess).proved == naive_prove(s)
 
     def test_focused_rejects_general_connectives(self):
