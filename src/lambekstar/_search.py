@@ -8,11 +8,17 @@ Strategy, backward from the goal:
 
   1. invert the succedent to an atom (both right rules are invertible);
   2. refute immediately when the free-group image of the antecedent differs
-     from the goal atom (derivable sequents have equal images);
+     from the goal atom (derivable sequents have equal images); this test
+     runs once per query, because inverting the succedent keeps the image
+     (A · A⁻¹B = B) and every sub-search starts on a segment whose image
+     already equals its goal's;
   3. otherwise some antecedent formula whose head atom equals the goal is
      peeled connective by connective, each denominator consuming a
      contiguous segment adjacent to the formula, until its head atom
-     remains and must stand alone as the axiom.
+     remains and must stand alone as the axiom.  Segments are tried
+     smallest first, and each one's image is folded from the previous one
+     with a single group multiplication; only a segment whose image
+     equals the denominator's is sliced and searched.
 
 Left rules only ever need to be applied to the formula that will become the
 axiom partner — applications to other formulas can be permuted into the
@@ -26,18 +32,21 @@ short leaves nothing behind but finished results.
 
 from .formula import (
     ATOM, UNDER, OVER,
-    BudgetError, Derivation, Sequent, _image,
+    BudgetError, Derivation, Sequent, _gmul, _image,
 )
 
 
-def search(ant, succ, memo, budget, restricted):
+def search(ant, succ, memo, budget, restricted, image_known=False):
     """Derivation of ``ant -> succ`` or None.
 
     ``ant`` is a tuple of division-pure formulas, ``succ`` a division-pure
     formula.  ``memo`` maps search states to Derivation/False.  ``budget``
     is a one-element list of remaining expansion steps, shared across the
     whole call tree.  ``restricted`` refuses empty antecedents everywhere
-    (Lambek's restriction).
+    (Lambek's restriction).  ``image_known`` says that the free-group
+    images of ``ant`` and ``succ`` are already known to agree, as they are
+    for every segment ``_peel`` hands down; a top-level query leaves it
+    False so that the image test runs.
     """
     if restricted and not ant:
         return None
@@ -69,7 +78,8 @@ def search(ant, succ, memo, budget, restricted):
         if b < 0:
             raise BudgetError("proof-search budget exhausted")
         budget[0] = b
-        result = _solve_atomic(ant, succ, memo, budget, restricted)
+        result = _solve_atomic(ant, succ, memo, budget, restricted,
+                               image_known)
         memo[key] = result if result is not None else False
         if result is None:
             return None
@@ -79,13 +89,13 @@ def search(ant, succ, memo, budget, restricted):
     return result
 
 
-def _solve_atomic(ant, succ, memo, budget, restricted):
+def _solve_atomic(ant, succ, memo, budget, restricted, image_known):
     n = len(ant)
     if n == 1 and ant[0] is succ:
         return Derivation("Ax", Sequent(ant, succ))
     if n == 0:
         return None
-    if _image(ant) != succ.fgw:
+    if not image_known and _image(ant) != succ.fgw:
         return None
     goal = succ.name
     for i in range(n):
@@ -123,13 +133,15 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted):
         x = f.left
         xw = x.fgw
         m = len(lctx)
-        for j in range(m, -1, -1):         # segment lctx[j:], smallest first
-            pi = lctx[j:]
-            if restricted and not pi:
+        acc = ()                           # image of the segment lctx[j:]
+        for j in range(m, -1, -1):         # smallest first
+            if j < m:
+                acc = _gmul(lctx[j].fgw, acc)
+            elif restricted:
                 continue
-            if _image(pi) != xw:
+            if acc != xw:
                 continue
-            p1 = search(pi, x, memo, budget, restricted)
+            p1 = search(lctx[j:], x, memo, budget, restricted, True)
             if p1 is None:
                 continue
             rest = _peel(lctx[:j], f.right, rctx, succ, memo, budget,
@@ -144,13 +156,15 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted):
         y = f.right
         yw = y.fgw
         m = len(rctx)
-        for j in range(m + 1):             # segment rctx[:j], smallest first
-            pi = rctx[:j]
-            if restricted and not pi:
+        acc = ()                           # image of the segment rctx[:j]
+        for j in range(m + 1):             # smallest first
+            if j:
+                acc = _gmul(acc, rctx[j - 1].fgw)
+            elif restricted:
                 continue
-            if _image(pi) != yw:
+            if acc != yw:
                 continue
-            p1 = search(pi, y, memo, budget, restricted)
+            p1 = search(rctx[:j], y, memo, budget, restricted, True)
             if p1 is None:
                 continue
             rest = _peel(lctx, f.left, rctx[j:], succ, memo, budget,

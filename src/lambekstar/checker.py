@@ -3,7 +3,8 @@
 ``check_derivation`` re-examines every node of a derivation against the rule
 schemas by direct reconstruction: given the premises, it recomputes what the
 conclusion must look like and compares.  It deliberately shares no code with
-the proof search — a derivation accepted here is evidence on its own.
+the proof search — a derivation accepted here is evidence on its own.  A node
+shared by several parents, as memoised search returns them, is checked once.
 
 Rule labels:
 
@@ -42,7 +43,7 @@ def check_derivation(d: Derivation, restricted: bool = False) -> bool:
     to have a non-empty antecedent and rejects the unit axiom.
     """
     try:
-        _check(d, restricted)
+        _check(d, restricted, set())
         return True
     except CertificateError:
         return False
@@ -50,7 +51,7 @@ def check_derivation(d: Derivation, restricted: bool = False) -> bool:
 
 def assert_valid_derivation(d: Derivation, restricted: bool = False) -> None:
     """Like :func:`check_derivation` but raises with a useful message."""
-    _check(d, restricted)
+    _check(d, restricted, set())
 
 
 def _fail(d: Derivation, why: str) -> None:
@@ -58,7 +59,11 @@ def _fail(d: Derivation, why: str) -> None:
         f"bad [{d.rule}] node at {render_sequent(d.conclusion)}: {why}")
 
 
-def _check(d: Derivation, restricted: bool) -> None:
+def _check(d: Derivation, restricted: bool, seen: set) -> None:
+    # ids are stable here: every node is reachable from the root throughout
+    if id(d) in seen:
+        return
+    seen.add(id(d))
     if restricted and not d.conclusion.antecedent:
         _fail(d, "empty antecedent under Lambek's restriction")
     rule = d.rule
@@ -71,7 +76,7 @@ def _check(d: Derivation, restricted: bool) -> None:
     else:
         checker(d)
     for p in d.premises:
-        _check(p, restricted)
+        _check(p, restricted, seen)
 
 
 def _ant(d: Derivation) -> tuple:

@@ -273,9 +273,6 @@ class Derivation:
     conclusion: Sequent
     premises: tuple["Derivation", ...] = ()
 
-    def node_count(self) -> int:
-        return 1 + sum(p.node_count() for p in self.premises)
-
 
 def render_derivation(d: Derivation, indent: int = 0) -> str:
     lines = [f"{'  ' * indent}[{d.rule}] {render_sequent(d.conclusion)}"]

@@ -14,6 +14,7 @@ from lambekstar import (
     Over,
     Plus,
     Prod,
+    ProverSession,
     Sequent,
     Star,
     alt2_sequent,
@@ -26,11 +27,13 @@ from lambekstar import (
     instances,
     is_star_external,
     parse_cfg,
+    prove,
     refute_alt2,
     to_gnf2,
     total_plus_to_alt2,
     vee_elimination_chain,
 )
+from lambekstar import reductions
 from lambekstar.checker import check_derivation
 from lambekstar.reductions import _alternation_words
 
@@ -116,6 +119,31 @@ class TestRefuteAlt2:
         universal = parse_cfg("S -> a S\nS -> b S\nS -> a\nS -> b")
         lifted = total_plus_to_alt2(universal)
         assert refute_alt2(lifted, word_len_bound=2) is None
+
+    def test_kernel_work_is_pinned(self, monkeypatch):
+        # the benchmark's alt2-lifted cycle: a proof of "a b" and an
+        # exhaustive refutation of "a a b" with one shared memo.  A change
+        # to the search order, the budget accounting or the memo shows up
+        # here as a changed count; any change to the pinned numbers must
+        # be explained in the changelog.
+        proofs = []
+
+        def recorded(sequent, **kwargs):
+            res = prove(sequent, **kwargs)
+            proofs.append((sequent, res))
+            return res
+        monkeypatch.setattr(reductions, "prove", recorded)
+        session = ProverSession()
+        w = refute_alt2(total_plus_to_alt2(parse_cfg(AB_GRAMMAR)), 3,
+                        session=session)
+        assert w is not None and w.word == ("a", "a", "b")
+        assert session.steps_used == 16548
+        assert len(session.memo) == 16548
+        proved = [(s, r.derivation) for s, r in proofs if r.proved]
+        assert len(proved) == 1
+        for s, d in proved:
+            assert d.conclusion == s
+            assert check_derivation(d)
 
     def test_witness_agrees_with_direct_enumeration(self):
         for text in (AB_GRAMMAR, "S -> a\nS -> b b",
