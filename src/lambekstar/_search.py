@@ -18,7 +18,17 @@ Strategy, backward from the goal:
      remains and must stand alone as the axiom.  Segments are tried
      smallest first, and each one's image is folded from the previous one
      with a single group multiplication; only a segment whose image
-     equals the denominator's is sliced and searched.
+     equals the denominator's is sliced and searched.  The spine counts
+     ``nl``/``nr`` (the \\ and / denominators still to be peeled) bound
+     both choices: a candidate with no \\ denominator must stand first, one
+     with no / denominator last, and the last \\ (/) denominator takes all
+     of the remaining left (right) context.  Under Lambek's restriction
+     every denominator needs a non-empty segment of its own, so a context
+     shorter than its count of denominators is refused too.  Peeling
+     consumes context only through denominators, and the axiom at the
+     head needs both contexts empty, so every branch these bounds cut
+     would fail after its sub-searches had been paid for; the surviving
+     branches are tried in the same order as without the bounds.
 
 Left rules only ever need to be applied to the formula that will become the
 axiom partner — applications to other formulas can be permuted into the
@@ -98,9 +108,19 @@ def _solve_atomic(ant, succ, memo, budget, restricted, image_known):
     if not image_known and _image(ant) != succ.fgw:
         return None
     goal = succ.name
+    last = n - 1
     for i in range(n):
         f = ant[i]
-        if f.kind != ATOM and f.top == goal:
+        if f.top == goal:
+            nl = f.nl
+            nr = f.nr
+            # the \ denominators must consume all i formulas to the left,
+            # the / denominators all last - i to the right; an atom has
+            # neither, so it is skipped here and stands only as the axiom
+            if (i and not nl) or (i < last and not nr):
+                continue
+            if restricted and (i < nl or last - i < nr):
+                continue
             d = _peel(ant[:i], f, ant[i + 1:], succ, memo, budget, restricted)
             if d is not None:
                 return d
@@ -131,21 +151,22 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted):
 
     if k == UNDER:
         x = f.left
+        g = f.right
+        nl = g.nl                          # \ denominators left for lctx[:j]
         xw = x.fgw
         m = len(lctx)
         acc = ()                           # image of the segment lctx[j:]
-        for j in range(m, -1, -1):         # smallest first
+        for j in range(m, nl - 1 if restricted else -1, -1):  # smallest first
             if j < m:
                 acc = _gmul(lctx[j].fgw, acc)
             elif restricted:
                 continue
-            if acc != xw:
+            if (j and not nl) or acc != xw:
                 continue
             p1 = search(lctx[j:], x, memo, budget, restricted, True)
             if p1 is None:
                 continue
-            rest = _peel(lctx[:j], f.right, rctx, succ, memo, budget,
-                         restricted)
+            rest = _peel(lctx[:j], g, rctx, succ, memo, budget, restricted)
             if rest is None:
                 continue
             if conclusion is None:
@@ -154,21 +175,22 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted):
             break
     else:                                  # OVER
         y = f.right
+        g = f.left
+        nr = g.nr                          # / denominators left for rctx[j:]
         yw = y.fgw
         m = len(rctx)
         acc = ()                           # image of the segment rctx[:j]
-        for j in range(m + 1):             # smallest first
+        for j in range(m + 1 - nr if restricted else m + 1):  # smallest first
             if j:
                 acc = _gmul(acc, rctx[j - 1].fgw)
             elif restricted:
                 continue
-            if acc != yw:
+            if (j < m and not nr) or acc != yw:
                 continue
             p1 = search(rctx[:j], y, memo, budget, restricted, True)
             if p1 is None:
                 continue
-            rest = _peel(lctx, f.left, rctx[j:], succ, memo, budget,
-                         restricted)
+            rest = _peel(lctx, g, rctx[j:], succ, memo, budget, restricted)
             if rest is None:
                 continue
             if conclusion is None:

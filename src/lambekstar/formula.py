@@ -4,9 +4,10 @@ Formulas are hash-consed: the factory functions (``Atom``, ``Under``, ...)
 return one shared object per distinct term, so structural equality coincides
 with object identity and formulas can be used directly as dict keys.  Every
 term caches its node count (``size``), the connectives it uses (``kinds``),
-its head atom (``top``) and its free-group image (``fgw``) at construction
-time; the last two are ``None`` outside the fragments where they make
-sense.
+its head atom (``top``), the number of ``\\`` and ``/`` denominators on
+its spine down to that atom (``nl``, ``nr``) and its free-group image
+(``fgw``) at construction time; ``top`` and ``fgw`` are ``None`` outside
+the fragments where they make sense.
 
 Concrete syntax, loosest to tightest::
 
@@ -139,7 +140,7 @@ class Formula:
     """A hash-consed formula node.  Build via the factory functions."""
 
     __slots__ = ("kind", "name", "left", "right", "size", "kinds", "top",
-                 "fgw")
+                 "nl", "nr", "fgw")
 
     kind: int
     name: str | None          # atom name, for ATOM nodes
@@ -148,6 +149,8 @@ class Formula:
     size: int                 # node count
     kinds: int                # OR of 1 << kind over every node
     top: str | None           # head atom through \ and / numerators
+    nl: int                   # \ denominators on the spine to top (else 0)
+    nr: int                   # / denominators on the spine to top (else 0)
     fgw: tuple | None         # free-group image, None outside ·,\,/,1
 
     def __repr__(self) -> str:
@@ -177,6 +180,7 @@ def _intern(kind: int, name: str | None, left: Formula | None,
                + (right.size if right is not None else 0)
     f.kinds = 1 << kind | (left.kinds if left is not None else 0) \
                         | (right.kinds if right is not None else 0)
+    f.nl = f.nr = 0
 
     if kind == ATOM:
         f.top = name
@@ -186,10 +190,14 @@ def _intern(kind: int, name: str | None, left: Formula | None,
         f.fgw = ()
     elif kind == UNDER:          # left \ right
         f.top = right.top
+        f.nl = right.nl + 1
+        f.nr = right.nr
         f.fgw = None if left.fgw is None or right.fgw is None \
             else _gmul(_ginv(left.fgw), right.fgw)
     elif kind == OVER:           # left / right
         f.top = left.top
+        f.nl = left.nl
+        f.nr = left.nr + 1
         f.fgw = None if left.fgw is None or right.fgw is None \
             else _gmul(left.fgw, _ginv(right.fgw))
     elif kind == PROD:

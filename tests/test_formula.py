@@ -188,6 +188,20 @@ class TestHelpers:
             gs, c, ds = split_curried(f)
             assert (list(gs), c, list(ds)) == (gamma, core, delta)
 
+    def test_spine_counts(self, rng):
+        # nl and nr count the \ and / denominators down to the head atom
+        assert (p.nl, p.nr) == (0, 0)
+        assert (Prod(p, q).nl, Prod(p, q).nr) == (0, 0)
+        s = sentinel("p", "q", "r")
+        assert (s.nl, s.nr) == (0, 2)
+        for _ in range(30):
+            gamma = [random_division_pure(rng, rng.randint(1, 3))
+                     for _ in range(rng.randint(0, 3))]
+            delta = [random_division_pure(rng, rng.randint(1, 3))
+                     for _ in range(rng.randint(0, 3))]
+            f = curried_division(gamma, Atom("z"), delta)
+            assert (f.nl, f.nr) == (len(gamma), len(delta))
+
     def test_curried_division_orientation(self):
         f = curried_division([p], r, [q])
         assert f is Under(p, Over(r, q))

@@ -259,6 +259,52 @@ class TestZeroBalanced:
 
 
 # --------------------------------------------------------------------------
+# spine-count bounds: a head candidate's \ denominators must consume all of
+# its left context and its / denominators all of its right context
+
+SPINE_EDGES = (
+    # candidates without \ (nl == 0) or / (nr == 0) denominators placed
+    # first, in the middle and last
+    "q/p, p -> q", "q/q, q/p, p -> q", "r, q/p, p -> q", "p, q/p -> q",
+    "p, p\\q -> q", "p\\q, p -> q", "p, p\\q, r -> q", "p, p\\q, q\\q -> q",
+    "q/p, p, p\\q -> q", "p, q\\q, p\\q -> q",
+    # the last \ or / denominator takes the whole remaining context, which
+    # is empty in the last four
+    "p, p\\q, q\\r -> r", "r/q, p, p\\q -> r", "p\\p, p\\p, (p\\p)\\q -> q",
+    "q/(p/p), p/p, p/p -> q", "p, p, p\\p\\q -> q", "q/p/p, p, p -> q",
+    "(p\\p)\\q -> q", "q/(p/p) -> q", "p, p\\(q\\q)\\q -> q",
+    "q/(q/q)/p, p -> q",
+    # under Lambek's restriction every denominator needs its own formula
+    "p, (q/q)\\p\\r -> r", "p, q, q\\p\\r -> r", "r/p/q, q, p -> r",
+    "p/p, p, p\\(p/p)\\q -> q", "q/(p/p)/(p/p), p/p, p/p -> q",
+)
+
+
+class TestSpineBounds:
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("text", SPINE_EDGES)
+    def test_kernel_matches_oracle(self, text, restricted):
+        s = parse_sequent(text)
+        res = prove(s, restricted=restricted)
+        assert res.proved == naive_prove(s, restricted=restricted)
+        if res.proved:
+            assert res.derivation.conclusion == s
+            assert check_derivation(res.derivation, restricted)
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_pruned_steps_are_pinned(self, restricted):
+        # no p\p has a / denominator, so only the last one is a candidate,
+        # and its \ denominator takes the whole left context: 11 steps,
+        # against 21 for the search without the bounds
+        s = parse_sequent("p, p\\p, p\\p, p\\p, p\\p, p\\p -> p")
+        sess = ProverSession(restricted)
+        res = prove(s, restricted=restricted, session=sess)
+        assert res.proved and check_derivation(res.derivation, restricted)
+        assert sess.steps_used == 11
+        assert len(sess.memo) == 11
+
+
+# --------------------------------------------------------------------------
 # derivation certificates
 
 class TestCertificates:
