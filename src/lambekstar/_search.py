@@ -1,8 +1,6 @@
 """Search kernel for division-pure sequents (atoms, \\ and / only).
 
-This is the hot loop of the package.  It is deliberately plain Python —
-setup.py compiles this exact file with Cython when possible, and the
-compiled module shadows it at import time with identical behaviour.
+This is the hot loop of the package, in plain Python.
 
 Strategy, backward from the goal:
 
@@ -37,7 +35,9 @@ peels is complete for this fragment.  Every recursion strictly shrinks the
 node count, so the search never meets a state it is still expanding and
 terminates.  A state is memoised only once it is decided, as its finished
 derivation or False; repeated queries share subtrees, and a search cut
-short leaves nothing behind but finished results.
+short leaves nothing behind but finished results.  The memo keys are
+``(ant, succ)`` and ``(lctx, f, rctx, succ)``; the general engine keys its
+states ``(succ, ant)``, so both engines can share one session's memo.
 """
 
 from .formula import (

@@ -401,7 +401,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"budget exhausted: {e} (raise --budget)", file=sys.stderr)
         return 3
     except RecursionError:
-        print("error: input nested too deeply", file=sys.stderr)
+        print("error: input too deep or too long", file=sys.stderr)
         return 2
     except (ParseError, FragmentError, GrammarError) as e:
         print(f"error: {e}", file=sys.stderr)

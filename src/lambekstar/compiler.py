@@ -36,7 +36,7 @@ from .formula import (
     sentinel, zero_balanced,
 )
 from .joins import JoinCertificate, JoinProblem, join
-from .prover import DEFAULT_BUDGET, ProverSession, prove
+from .prover import DEFAULT_BUDGET, ProverSession, _session_for, prove
 
 __all__ = [
     "CompilerContext", "CompiledGrammar", "LambekGrammar", "IsParts",
@@ -122,7 +122,8 @@ class LambekGrammar:
 
 
 def _build_is_parts(u_set: Sequence[Formula], ctx: CompilerContext,
-                    *, budget: int = DEFAULT_BUDGET) -> IsParts:
+                    *, budget: int = DEFAULT_BUDGET,
+                    session: ProverSession | None = None) -> IsParts:
     members = tuple(u_set)
     if not members:
         raise ValueError("is(U) needs a non-empty family")
@@ -136,8 +137,10 @@ def _build_is_parts(u_set: Sequence[Formula], ctx: CompilerContext,
     n = len(members)
     suffixes = tuple(tuple(e[2 * i:]) for i in range(n))
     prefixes = tuple(tuple(e[:2 * i + 3]) for i in range(n))
-    f_cert = join(JoinProblem(suffixes, (ctx.fresh("d"),)), budget=budget)
-    g_cert = join(JoinProblem(prefixes, (ctx.fresh("d"),)), budget=budget)
+    f_cert = join(JoinProblem(suffixes, (ctx.fresh("d"),)), budget=budget,
+                  session=session)
+    g_cert = join(JoinProblem(prefixes, (ctx.fresh("d"),)), budget=budget,
+                  session=session)
     u = Atom(ctx.u)
     s = Atom(ctx.s)
     b = tuple(e) + (Under(Under(Over(u, f_cert.join), u), shared),)
@@ -159,9 +162,17 @@ def build_is_formula(u_set: Sequence[Formula], ctx: CompilerContext,
     return _build_is_parts(u_set, ctx, budget=budget).formula
 
 
-def compile_unique(g: GnfCfg, *,
-                   budget: int = DEFAULT_BUDGET) -> CompiledGrammar:
-    """Unique-type-assignment lexicon for a binary-GNF grammar."""
+def compile_unique(g: GnfCfg, *, budget: int = DEFAULT_BUDGET,
+                   session: ProverSession | None = None) -> CompiledGrammar:
+    """Unique-type-assignment lexicon for a binary-GNF grammar.
+
+    Every join-verification ``prove`` runs in ``session`` (a fresh one when
+    it is None), which must be unrestricted.  Passing the session that
+    will then decide words with the lexicon lets those proofs reuse the
+    states join verification has already decided; the lexicon is the same
+    either way.
+    """
+    session = _session_for(session, False)
     if not g.rules:
         raise GrammarError("cannot compile a grammar with no rules")
     used = set(g.terminals)
@@ -180,7 +191,8 @@ def compile_unique(g: GnfCfg, *,
         ws = [h[sym] for sym in (k, l) if sym is not None]
         ws.append(sentinels[lhs])
         u_sets[a].append(Over(x, curried_division(ws, x, [])))
-    parts = {a: _build_is_parts(u_sets[a], ctx, budget=budget)
+    parts = {a: _build_is_parts(u_sets[a], ctx, budget=budget,
+                                session=session)
              for a in g.terminals}
     lexicon = {a: curried_division([], z, [parts[a].formula, z])
                for a in g.terminals}

@@ -21,13 +21,14 @@ Strategies, in order:
    identities ``A\\A``, ``B\\B``).
 
 All certificates are cached by the canonicalised problem, so identical
-problems always return the identical join.
+problems always return the identical join.  Every ``prove`` a join makes,
+its candidate builders' included, runs in one :class:`ProverSession`, the
+caller's or a fresh one, so no state is searched twice within it.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -38,7 +39,7 @@ from .formula import (
     Sequent, Under, VarSupply, curried_division, division_pure,
     sequence_image,
 )
-from .prover import DEFAULT_BUDGET, prove
+from .prover import DEFAULT_BUDGET, ProverSession, _session_for, prove
 
 __all__ = [
     "JoinProblem", "JoinCertificate", "JoinPreconditionError",
@@ -106,13 +107,15 @@ def _deproduct_equiv(f: Formula) -> Formula:
         f"irreducible product in a denominator of {f}")
 
 
-def eliminate_product(f: Formula, *, budget: int = DEFAULT_BUDGET) -> Formula:
+def eliminate_product(f: Formula, *, budget: int = DEFAULT_BUDGET,
+                      session: ProverSession | None = None) -> Formula:
     """A product-free formula B with ⊢ f → B, prover-verified.
 
     Product-free inputs come back unchanged.  Denominator products are
     removed by the (invertible) currying laws; a top-level or numerator
     product spine is raised over a fresh core, ``d/((F₁,…,Fₖ)\\d)``, which
-    is derivable from the spine but deliberately one-directional.
+    is derivable from the spine but deliberately one-directional.  The
+    verifying proof runs in ``session`` when one is given.
     """
     _check_language(f)
     supply = VarSupply.for_formulas([f])
@@ -135,7 +138,7 @@ def eliminate_product(f: Formula, *, budget: int = DEFAULT_BUDGET) -> Formula:
 
     out = elim(f)
     if out is not f:
-        result = prove(Sequent((f,), out), budget=budget)
+        result = prove(Sequent((f,), out), session=session, budget=budget)
         if not result.proved:
             raise JoinSynthesisError(
                 f"candidate {out} is not derivable from {f}")
@@ -192,9 +195,10 @@ def _match_slot(f: Formula) -> tuple[Formula, tuple[Formula, ...]] | None:
     return (f.left, tuple(reversed(ws)))
 
 
-def _optional_candidate(f: Formula) -> Formula | None:
+def _optional_candidate(f: Formula,
+                        session: ProverSession | None) -> Formula | None:
     try:
-        if prove(Sequent((), f), budget=20_000).proved:
+        if prove(Sequent((), f), session=session, budget=20_000).proved:
             return f
     except (FragmentError, LambekError):
         pass
@@ -211,26 +215,29 @@ def _optional_candidate(f: Formula) -> Formula | None:
     ms = _match_slot(f)
     if ms is not None:
         x, ws = ms
-        opts = [_optional_candidate(w) for w in ws]
+        opts = [_optional_candidate(w, session) for w in ws]
         if any(o is None for o in opts):
             return None
         return Over(x, curried_division(opts, x, []))
     return None
 
 
-def optionalize(f: Formula, *, budget: int = DEFAULT_BUDGET) -> Formula:
+def optionalize(f: Formula, *, budget: int = DEFAULT_BUDGET,
+                session: ProverSession | None = None) -> Formula:
     """A formula O with both ⊢ Λ → O and ⊢ f → O, prover-verified.
 
     Recognised shapes: anything already derivable from Λ, sentinels
     (r/(p\\r))/(q/(p\\q)), gates (z/z)/S over a sentinel, and slot formulas
-    x/((W₁,…,W_T)\\x) whose every Wᵢ is itself optionalizable.
+    x/((W₁,…,W_T)\\x) whose every Wᵢ is itself optionalizable.  The
+    verifying proofs run in ``session`` when one is given.
     """
-    cand = _optional_candidate(f)
+    cand = _optional_candidate(f, session)
     if cand is None:
         raise JoinSynthesisError(f"no optional form known for {f}")
-    if not prove(Sequent((), cand), budget=budget).proved:
+    if not prove(Sequent((), cand), session=session, budget=budget).proved:
         raise JoinSynthesisError(f"optional form {cand} not empty-derivable")
-    if not prove(Sequent((f,), cand), budget=budget).proved:
+    if not prove(Sequent((f,), cand), session=session,
+                 budget=budget).proved:
         raise JoinSynthesisError(f"optional form {cand} not derivable from {f}")
     return cand
 
@@ -267,7 +274,6 @@ class JoinCertificate:
 
 
 _CACHE: dict[tuple, JoinCertificate] = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def _align(row: tuple[Formula, ...],
@@ -285,14 +291,15 @@ def _align(row: tuple[Formula, ...],
     return tuple(out)
 
 
-def _candidates(p: JoinProblem, supply: VarSupply,
-                fresh_core) -> Iterable[tuple[str, Formula]]:
+def _candidates(p: JoinProblem, supply: VarSupply, fresh_core,
+                session: ProverSession) -> Iterable[tuple[str, Formula]]:
     # 0. one sequence joins with itself
     if len(p.inputs) == 1:
         try:
             yield ("single",
                    eliminate_product(product_fold(p.inputs[0],
-                                                  supply.fresh("q"))))
+                                                  supply.fresh("q")),
+                                     session=session))
         except JoinSynthesisError:
             pass
     # 1. menu raising over the longest input
@@ -305,9 +312,9 @@ def _candidates(p: JoinProblem, supply: VarSupply,
         try:
             menu = []
             for i, m in enumerate(master):
-                slot = eliminate_product(m)
+                slot = eliminate_product(m, session=session)
                 menu.append(slot if i in covered_by_all
-                            else optionalize(slot))
+                            else optionalize(slot, session=session))
             core = fresh_core()
             yield ("menu", Over(core, curried_division(menu, core, [])))
         except JoinSynthesisError:
@@ -316,23 +323,27 @@ def _candidates(p: JoinProblem, supply: VarSupply,
     try:
         folds = [product_fold(row, fallback_var=supply.fresh("q"))
                  for row in p.inputs]
-        yield ("product-of-all", eliminate_product(product_fold(folds)))
+        yield ("product-of-all",
+               eliminate_product(product_fold(folds), session=session))
     except JoinSynthesisError:
         pass
 
 
-def join(p: JoinProblem, *, budget: int = DEFAULT_BUDGET) -> JoinCertificate:
+def join(p: JoinProblem, *, budget: int = DEFAULT_BUDGET,
+         session: ProverSession | None = None) -> JoinCertificate:
     """Compute a verified join for the family, or fail with diagnostics.
 
-    Raises :class:`JoinPreconditionError` when the inputs do not share one
-    free-group image (then no join exists at all), and
+    Every ``prove`` of the call runs in ``session`` (a fresh one when it is
+    None), which must be unrestricted; ``budget`` bounds each witness
+    verification.  Raises :class:`JoinPreconditionError` when the inputs
+    do not share one free-group image (then no join exists at all), and
     :class:`JoinSynthesisError` when every strategy's candidate fails
     prover verification.
     """
+    session = _session_for(session, False)
     key = (p.inputs, p.variable_budget)
-    with _CACHE_LOCK:
-        if key in _CACHE:
-            return _CACHE[key]
+    if key in _CACHE:
+        return _CACHE[key]
     images = {sequence_image(row) for row in p.inputs}
     if len(images) > 1:
         raise JoinPreconditionError(
@@ -348,13 +359,13 @@ def join(p: JoinProblem, *, budget: int = DEFAULT_BUDGET) -> JoinCertificate:
         return supply.fresh_atom("d")
 
     tried: list[str] = []
-    for label, cand in _candidates(p, supply, fresh_core):
+    for label, cand in _candidates(p, supply, fresh_core, session):
         if not division_pure(cand):
             tried.append(f"{label}: {cand} (not division-pure)")
             continue
         witnesses = []
         for row in p.inputs:
-            r = prove(Sequent(row, cand), budget=budget)
+            r = prove(Sequent(row, cand), session=session, budget=budget)
             if not r.proved:
                 witnesses = None
                 break
@@ -365,8 +376,7 @@ def join(p: JoinProblem, *, budget: int = DEFAULT_BUDGET) -> JoinCertificate:
         for w in witnesses:
             assert_valid_derivation(w)
         cert = JoinCertificate(p, cand, tuple(witnesses))
-        with _CACHE_LOCK:
-            _CACHE.setdefault(key, cert)
-            return _CACHE[key]
+        _CACHE[key] = cert
+        return cert
     raise JoinSynthesisError(
         "no candidate verified; tried:\n  " + "\n  ".join(tried or ["(none)"]))

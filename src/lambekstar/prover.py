@@ -2,8 +2,8 @@
 
 Two engines share one public API:
 
-* a focused kernel (:mod:`lambekstar._search`, optionally Cython-compiled)
-  for division-pure sequents — atoms, ``\\`` and ``/`` only;
+* a focused kernel (:mod:`lambekstar._search`) for division-pure
+  sequents — atoms, ``\\`` and ``/`` only;
 * a general backward-chaining engine for the full vocabulary
   (``.``, ``1``, ``|``, ``&`` and positive ``^*``/``^+``).
 
@@ -46,9 +46,8 @@ DEFAULT_BUDGET = 10 ** 6
 
 
 def kernel_backend() -> str:
-    """'compiled' when the Cython-built search kernel is loaded, else 'pure'."""
-    fn = getattr(_search, "__file__", "") or ""
-    return "pure" if fn.endswith(".py") else "compiled"
+    """The search kernel in use; always 'pure', the one Python kernel."""
+    return "pure"
 
 
 @dataclass(frozen=True)
@@ -68,6 +67,17 @@ class ProverSession:
         self.restricted = restricted
         self.memo: dict = {}
         self.steps_used = 0
+
+
+def _session_for(session: ProverSession | None,
+                 restricted: bool) -> ProverSession:
+    """``session``, or a fresh one when it is None; a session made for the
+    other restriction mode is refused."""
+    if session is None:
+        return ProverSession(restricted)
+    if session.restricted != restricted:
+        raise ValueError("session was created for the other restriction mode")
+    return session
 
 
 # --------------------------------------------------------------------------
@@ -142,11 +152,8 @@ def prove(sequent: Sequent, *, restricted: bool = False,
     in ``session.steps_used``; the session stays sound, because the memo
     only ever holds finished results.
     """
-    if session is not None and session.restricted != restricted:
-        raise ValueError("session was created for the other restriction mode")
+    session = _session_for(session, restricted)
     seq = _prepare(sequent, restricted)
-    if session is None:
-        session = ProverSession(restricted)
     box = [budget]
     try:
         if all(division_pure(f) for f in seq.antecedent) \
@@ -212,7 +219,11 @@ def _general(ant: tuple, succ: Formula, memo: dict, budget: list,
              restricted: bool) -> Derivation | None:
     if restricted and not ant:
         return None
-    key = (ant, succ)
+    # the kernel keys its states (ant, succ) and (lctx, f, rctx, succ), so
+    # a key that starts with a formula is never one of them: a session
+    # shared by both engines never hands one engine's derivation to the
+    # other
+    key = (succ, ant)
     hit = memo.get(key, None)
     if hit is not None:
         return hit if hit is not False else None

@@ -98,6 +98,8 @@ def refute_alt2(g: Grammar, word_len_bound: int = 6, *,
 
     Runs to_gnf2 -> compile_unique -> instance checking over all
     alternation words of length <= word_len_bound in length-lex order.
+    One ``session`` (a fresh one when it is None) serves the compile's
+    join verification and every word's proof.
     Each word's prover verdict (on the ALT2 instance sequent) must agree
     with CYK membership; disagreement raises :class:`LambekError` because
     it would falsify the grammar/derivability equivalence the reduction
@@ -109,10 +111,10 @@ def refute_alt2(g: Grammar, word_len_bound: int = 6, *,
         raise GrammarError(
             f"ALT2 needs a two-letter alphabet, got {{{', '.join(letters)}}}")
     a1, a2 = letters
-    cg = compile_unique(to_gnf2(g))
-    goal = cg.goal
     if session is None:
         session = ProverSession()
+    cg = compile_unique(to_gnf2(g), session=session)
+    goal = cg.goal
     for word in _alternation_words(a1, a2, word_len_bound):
         inst = Sequent(tuple(cg.lexicon[c] for c in word), goal)
         before = session.steps_used
@@ -166,11 +168,12 @@ def equivalence_harness(g: Grammar,
     """
     start = time.monotonic()
     gid = render_cfg(g)
+    session = ProverSession()
     try:
         gnf = to_gnf2(g)
         if method == "safiullin":
             compiled: CompiledGrammar | LambekGrammar = compile_unique(
-                gnf, budget=budget)
+                gnf, budget=budget, session=session)
         elif method == "gaifman":
             compiled = compile_gaifman(gnf)
         else:
@@ -178,7 +181,6 @@ def equivalence_harness(g: Grammar,
     except (GrammarError, LambekError) as e:
         return EquivalenceReport(gid, method, max_len, (), (),
                                  time.monotonic() - start, error=str(e))
-    session = ProverSession()
     letters = sorted(g.terminals)
     results = []
     mismatches = []

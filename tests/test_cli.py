@@ -85,7 +85,14 @@ class TestProve:
     def test_deeply_nested_input_is_a_usage_error(self):
         r = run_cli("prove", "p -> " + "p\\" * 2000 + "p")
         assert r.returncode == 2
-        assert "nested too deeply" in r.stderr
+        assert "too deep or too long" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_long_flat_input_is_a_usage_error(self):
+        # flat, but the kernel recursion grows with the antecedent length
+        r = run_cli("prove", "p, " + "p\\p, " * 600 + "p\\p -> p")
+        assert r.returncode == 2
+        assert "too deep or too long" in r.stderr
         assert "Traceback" not in r.stderr
 
     def test_bad_certificate_is_an_error(self, monkeypatch, capsys):

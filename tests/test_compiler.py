@@ -12,6 +12,7 @@ from lambekstar import (
     GrammarError,
     LambekGrammar,
     Over,
+    Prod,
     ProverSession,
     Sequent,
     UnusedTerminalError,
@@ -23,11 +24,14 @@ from lambekstar import (
     division_pure,
     parse_cfg,
     prove,
+    render_derivation,
+    render_formula,
     sentinel,
     to_gnf2,
     top_of,
     zero_balanced,
 )
+from lambekstar import joins
 from lambekstar.checker import assert_valid_derivation, check_derivation
 
 
@@ -171,6 +175,32 @@ class TestCompileUnique:
         # the classical compiler simply drops the letter
         lex = compile_gaifman(gnf).lexicon
         assert set(lex) == {"a"}
+
+    def test_a_session_does_not_change_the_lexicon(self, g3_gnf,
+                                                   monkeypatch):
+        def rendered(cg):
+            return [(render_formula(cg.lexicon[a]),
+                     [(render_formula(c.join),
+                       [render_derivation(w) for w in c.witnesses])
+                      for c in (cg.parts[a].f, cg.parts[a].g)])
+                    for a in sorted(cg.lexicon)]
+
+        monkeypatch.setattr(joins, "_CACHE", {})
+        plain = rendered(compile_unique(g3_gnf))
+        # a session that has already answered product queries (general
+        # engine) and division queries (kernel) over the compiler's atoms
+        sess = ProverSession()
+        sh = CompilerContext().shared_sentinel
+        assert prove(Sequent((Prod(sh, sh),), Prod(sh, sh)),
+                     session=sess).proved
+        assert prove(Sequent((sh,), sh), session=sess).proved
+        assert not prove(Sequent((sh, sh), sh), session=sess).proved
+        used = sess.steps_used
+        monkeypatch.setattr(joins, "_CACHE", {})
+        assert rendered(compile_unique(g3_gnf, session=sess)) == plain
+        assert sess.steps_used > used
+        with pytest.raises(ValueError):
+            compile_unique(g3_gnf, session=ProverSession(restricted=True))
 
     def test_accepts_g1(self, g1):
         session = ProverSession()

@@ -10,7 +10,8 @@ from lambekstar import (And, Atom, BudgetError, CertificateError,
                         FragmentError, Or, Over, Plus, Prod, ProverSession,
                         Sequent, Star, Under, Unit, check_derivation,
                         kernel_backend, naive_prove, normalize_plus,
-                        parse_sequent, prove, prove_focused, render_sequent,
+                        parse_sequent, prove, prove_focused,
+                        render_derivation, render_sequent,
                         invert_to_atomic, principal_candidates, sentinel)
 from lambekstar.checker import assert_valid_derivation
 from lambekstar.formula import Derivation, _image
@@ -106,22 +107,44 @@ class TestPins:
                          restricted=True).proved
 
 
+def random_chain(rng: random.Random) -> Sequent:
+    """A seeded composition chain ``X0, X0\\X1, .., Xk-1\\Xk -> Xk`` or
+    ``Xk/Xk-1, .., X1/X0, X0 -> Xk``, with k from 1 to 3; half of the time
+    ``X0`` moves into the succedent.  Every chain is derivable."""
+    xs = [random_division_pure(rng, rng.randint(1, 3))
+          for _ in range(rng.randint(2, 4))]
+    if rng.random() < 0.5:
+        chain = tuple(Under(a, b) for a, b in zip(xs, xs[1:]))
+        return (Sequent((xs[0],) + chain, xs[-1]) if rng.random() < 0.5
+                else Sequent(chain, Under(xs[0], xs[-1])))
+    chain = tuple(Over(b, a) for a, b in zip(xs, xs[1:]))[::-1]
+    return (Sequent(chain + (xs[0],), xs[-1]) if rng.random() < 0.5
+            else Sequent(chain, Over(xs[-1], xs[0])))
+
+
 def random_budget_cases(n: int, seed: int = 20261018) -> list:
-    """Seeded (sequent text, budget) pairs, each budget below the steps the
-    sequent needs in a fresh session; every second sequent gets a product
-    succedent, so it goes to the general engine."""
+    """Seeded (sequent text, budget) cases with ids ``random-<k>``.
+
+    The sequents are composition chains; every second one gets a product
+    succedent, so it goes to the general engine.  They are derivable, the
+    sharp case: a search cut short by its budget that left a wrong False in
+    the memo would show as a refutation afterwards.  The sequents and ids depend on the seed
+    alone; only each budget is scaled to the steps the sequent needs in a
+    fresh session, landing in 0 .. steps - 1, so every case runs out.
+    """
     rng = random.Random(seed)
     cases = []
-    while len(cases) < n:
-        s = random_division_sequent(rng, 9)
-        if len(cases) % 2:
+    for k in range(n):
+        s = random_chain(rng)
+        if k % 2:
             extra = random_division_pure(rng, rng.randint(1, 3))
             s = Sequent(s.antecedent + (extra,), Prod(s.succedent, extra))
+        share = rng.random()
         sess = ProverSession()
         prove(s, session=sess)
-        if sess.steps_used > 1:
-            cases.append((render_sequent(s),
-                          rng.randrange(1, sess.steps_used)))
+        cases.append(pytest.param(render_sequent(s),
+                                  int(share * sess.steps_used),
+                                  id=f"random-{k}"))
     return cases
 
 
@@ -130,7 +153,7 @@ def random_budget_cases(n: int, seed: int = 20261018) -> list:
 
 class TestEngines:
     def test_backend_reports(self):
-        assert kernel_backend() in ("compiled", "pure")
+        assert kernel_backend() == "pure"
 
     def test_three_engines_agree_small(self, rng):
         for _ in range(120):
@@ -162,6 +185,19 @@ class TestEngines:
     def test_session_restriction_mismatch(self):
         with pytest.raises(ValueError):
             prove(Sequent((p,), p), session=ProverSession(restricted=True))
+
+    def test_engines_keep_their_own_memo_entries(self):
+        # the general engine, taking the product apart, decides the state
+        # "(r\r)\p, p\p\q -> p\q" with a derivation of its own; the
+        # kernel, asked for that sequent in the same session, must still
+        # return the certificate a fresh session gives
+        s = parse_sequent("(r\\r)\\p, p\\p\\q -> p\\q")
+        sess = ProverSession()
+        assert prove(parse_sequent("((r\\r)\\p).(p\\p\\q) -> p\\q"),
+                     session=sess).proved
+        shared = prove(s, session=sess).derivation
+        assert render_derivation(shared) == render_derivation(
+            prove(s).derivation)
 
     def test_budget_error(self):
         with pytest.raises(BudgetError):
@@ -215,18 +251,7 @@ def zero_balanced_sequents(n: int, seed: int = 20261018) -> list:
             a = random_division_pure(rng, rng.randint(1, 7))
             out.append(Sequent((a,), a))
         elif kind == 1:
-            xs = [random_division_pure(rng, rng.randint(1, 3))
-                  for _ in range(rng.randint(2, 4))]
-            if rng.random() < 0.5:     # X0, X0\X1, .., Xk-1\Xk -> Xk
-                chain = tuple(Under(a, b) for a, b in zip(xs, xs[1:]))
-                out.append(Sequent((xs[0],) + chain, xs[-1])
-                           if rng.random() < 0.5
-                           else Sequent(chain, Under(xs[0], xs[-1])))
-            else:                      # Xk/Xk-1, .., X1/X0, X0 -> Xk
-                chain = tuple(Over(b, a) for a, b in zip(xs, xs[1:]))[::-1]
-                out.append(Sequent(chain + (xs[0],), xs[-1])
-                           if rng.random() < 0.5
-                           else Sequent(chain, Over(xs[-1], xs[0])))
+            out.append(random_chain(rng))
         else:
             while True:
                 s = random_division_sequent(rng, 14, 5, ("p", "q"))
