@@ -6,27 +6,37 @@ Strategy, backward from the goal:
 
   1. invert the succedent to an atom (both right rules are invertible);
   2. refute immediately when the free-group image of the antecedent differs
-     from the goal atom (derivable sequents have equal images); this test
-     runs once per query, because inverting the succedent keeps the image
-     (A · A⁻¹B = B) and every sub-search starts on a segment whose image
-     already equals its goal's;
+     from the goal atom (derivable sequents have equal images), or when
+     one of the 64 fixed Boolean valuations of ``Formula.tv`` makes every
+     antecedent formula true and the goal false (a Boolean algebra is a
+     residuated monoid with ∧ as product and → as both divisions, so
+     derivable sequents are classically valid).  The two tests are
+     orthogonal: the image keeps order, the mask ignores it and refutes
+     sequents such as ``q/(p\\q) -> p`` whose images agree.  Both run once
+     per query, because inverting the succedent keeps them (A · A⁻¹B = B,
+     and Γ ≤ A → B exactly when A ∧ Γ ≤ B), and every sub-search starts on
+     a segment already known to pass them;
   3. otherwise some antecedent formula whose head atom equals the goal is
      peeled connective by connective, each denominator consuming a
      contiguous segment adjacent to the formula, until its head atom
      remains and must stand alone as the axiom.  Segments are tried
-     smallest first, and each one's image is folded from the previous one
-     with a single group multiplication; only a segment whose image
-     equals the denominator's is sliced and searched.  The spine counts
-     ``nl``/``nr`` (the \\ and / denominators still to be peeled) bound
-     both choices: a candidate with no \\ denominator must stand first, one
-     with no / denominator last, and the last \\ (/) denominator takes all
-     of the remaining left (right) context.  Under Lambek's restriction
-     every denominator needs a non-empty segment of its own, so a context
-     shorter than its count of denominators is refused too.  Peeling
-     consumes context only through denominators, and the axiom at the
-     head needs both contexts empty, so every branch these bounds cut
-     would fail after its sub-searches had been paid for; the surviving
-     branches are tried in the same order as without the bounds.
+     smallest first, and each one's image and mask are folded from the
+     previous one's with one group multiplication and one ``&``.  A
+     segment is sliced and searched only when its image equals the
+     denominator's, its mask passes against the denominator's, and the
+     sequent left once the denominator is peeled passes the mask test too.
+     The spine counts ``nl``/``nr`` (the \\ and / denominators still to
+     be peeled) bound both choices: a candidate with no \\ denominator
+     must stand first, one with no / denominator last, and the last \\
+     (/) denominator takes all of the remaining left (right) context.
+     Under Lambek's restriction every denominator needs a non-empty
+     segment of its own, so a context shorter than its count of
+     denominators is refused too.  Peeling consumes context only through
+     denominators, and the axiom at the head needs both contexts empty.
+     So every branch these tests and bounds cut would fail after its
+     sub-searches had been paid for, and the surviving branches are tried
+     in the same order as without them: verdicts and derivations do not
+     change, only the states expanded.
 
 Left rules only ever need to be applied to the formula that will become the
 axiom partner — applications to other formulas can be permuted into the
@@ -42,21 +52,21 @@ states ``(succ, ant)``, so both engines can share one session's memo.
 
 from .formula import (
     ATOM, UNDER, OVER,
-    BudgetError, Derivation, Sequent, _gmul, _image,
+    BudgetError, Derivation, Sequent, _ALL, _gmul, _image, _truth,
 )
 
 
-def search(ant, succ, memo, budget, restricted, image_known=False):
+def search(ant, succ, memo, budget, restricted, tested=False):
     """Derivation of ``ant -> succ`` or None.
 
     ``ant`` is a tuple of division-pure formulas, ``succ`` a division-pure
     formula.  ``memo`` maps search states to Derivation/False.  ``budget``
     is a one-element list of remaining expansion steps, shared across the
     whole call tree.  ``restricted`` refuses empty antecedents everywhere
-    (Lambek's restriction).  ``image_known`` says that the free-group
-    images of ``ant`` and ``succ`` are already known to agree, as they are
-    for every segment ``_peel`` hands down; a top-level query leaves it
-    False so that the image test runs.
+    (Lambek's restriction).  ``tested`` says that ``ant -> succ`` is
+    already known to pass the image and mask tests, as every segment
+    ``_peel`` hands down does; a top-level query leaves it False so that
+    the tests run.
     """
     if restricted and not ant:
         return None
@@ -88,8 +98,7 @@ def search(ant, succ, memo, budget, restricted, image_known=False):
         if b < 0:
             raise BudgetError("proof-search budget exhausted")
         budget[0] = b
-        result = _solve_atomic(ant, succ, memo, budget, restricted,
-                               image_known)
+        result = _solve_atomic(ant, succ, memo, budget, restricted, tested)
         memo[key] = result if result is not None else False
         if result is None:
             return None
@@ -99,13 +108,14 @@ def search(ant, succ, memo, budget, restricted, image_known=False):
     return result
 
 
-def _solve_atomic(ant, succ, memo, budget, restricted, image_known):
+def _solve_atomic(ant, succ, memo, budget, restricted, tested):
     n = len(ant)
     if n == 1 and ant[0] is succ:
         return Derivation("Ax", Sequent(ant, succ))
     if n == 0:
         return None
-    if not image_known and _image(ant) != succ.fgw:
+    if not tested and (_image(ant) != succ.fgw
+                       or _truth(ant) & ~succ.tv):
         return None
     goal = succ.name
     last = n - 1
@@ -149,19 +159,28 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted):
     result = None
     conclusion = None
 
+    # a truth mask is a non-negative int below 2**64, so ~t & u keeps just
+    # the bits of u where t is 0, with no masking to 64 bits
     if k == UNDER:
         x = f.left
         g = f.right
         nl = g.nl                          # \ denominators left for lctx[:j]
         xw = x.fgw
+        xf = ~x.tv                         # valuations refuting x
+        rv = g.tv & _truth(rctx) & ~succ.tv    # g, rctx true, succ false
         m = len(lctx)
         acc = ()                           # image of the segment lctx[j:]
+        tv = _ALL                          # mask of the segment lctx[j:]
         for j in range(m, nl - 1 if restricted else -1, -1):  # smallest first
             if j < m:
-                acc = _gmul(lctx[j].fgw, acc)
+                h = lctx[j]
+                acc = _gmul(h.fgw, acc)
+                tv &= h.tv
             elif restricted:
                 continue
-            if (j and not nl) or acc != xw:
+            if (j and not nl) or acc != xw or tv & xf:
+                continue
+            if rv & _truth(lctx[:j]):      # lctx[:j], g, rctx -> succ
                 continue
             p1 = search(lctx[j:], x, memo, budget, restricted, True)
             if p1 is None:
@@ -178,14 +197,21 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted):
         g = f.left
         nr = g.nr                          # / denominators left for rctx[j:]
         yw = y.fgw
+        yf = ~y.tv                         # valuations refuting y
+        rv = _truth(lctx) & g.tv & ~succ.tv    # lctx, g true, succ false
         m = len(rctx)
         acc = ()                           # image of the segment rctx[:j]
+        tv = _ALL                          # mask of the segment rctx[:j]
         for j in range(m + 1 - nr if restricted else m + 1):  # smallest first
             if j:
-                acc = _gmul(acc, rctx[j - 1].fgw)
+                h = rctx[j - 1]
+                acc = _gmul(acc, h.fgw)
+                tv &= h.tv
             elif restricted:
                 continue
-            if (j < m and not nr) or acc != yw:
+            if (j < m and not nr) or acc != yw or tv & yf:
+                continue
+            if rv & _truth(rctx[j:]):      # lctx, g, rctx[j:] -> succ
                 continue
             p1 = search(rctx[:j], y, memo, budget, restricted, True)
             if p1 is None:

@@ -167,10 +167,11 @@ def compile_unique(g: GnfCfg, *, budget: int = DEFAULT_BUDGET,
     """Unique-type-assignment lexicon for a binary-GNF grammar.
 
     Every join-verification ``prove`` runs in ``session`` (a fresh one when
-    it is None), which must be unrestricted.  Passing the session that
-    will then decide words with the lexicon lets those proofs reuse the
-    states join verification has already decided; the lexicon is the same
-    either way.
+    it is None), which must be unrestricted, and the session keeps the
+    join certificates, so a repeat compile in it proves nothing.  Passing
+    the session that will then decide words with the lexicon lets those
+    proofs reuse the states join verification has already decided; the
+    lexicon is the same either way.
     """
     session = _session_for(session, False)
     if not g.rules:

@@ -5,9 +5,10 @@ return one shared object per distinct term, so structural equality coincides
 with object identity and formulas can be used directly as dict keys.  Every
 term caches its node count (``size``), the connectives it uses (``kinds``),
 its head atom (``top``), the number of ``\\`` and ``/`` denominators on
-its spine down to that atom (``nl``, ``nr``) and its free-group image
-(``fgw``) at construction time; ``top`` and ``fgw`` are ``None`` outside
-the fragments where they make sense.
+its spine down to that atom (``nl``, ``nr``), its free-group image
+(``fgw``) and its truth values under 64 fixed Boolean valuations (``tv``)
+at construction time; ``top``, ``fgw`` and ``tv`` are ``None`` outside the
+fragments where they make sense.
 
 Concrete syntax, loosest to tightest::
 
@@ -100,6 +101,36 @@ def _image(formulas) -> tuple:
     return acc
 
 
+# --------------------------------------------------------------------------
+# truth masks: a formula's values under 64 fixed Boolean valuations, one
+# bit each.  A Boolean algebra is a residuated monoid (product ∧, both
+# divisions →, unit ⊤), so a sequent derivable in L* (and so in L) holds
+# under every valuation: Γ -> C needs _truth(Γ) & ~C.tv == 0.
+
+_ALL = (1 << 64) - 1
+
+
+def _atom_tv(name: str) -> int:
+    """An atom's 64 truth values, fixed by its name alone: FNV-1a of the
+    name, then the splitmix64 finaliser (built-in ``hash`` of a ``str``
+    is salted per process)."""
+    h = 0xCBF29CE484222325
+    for byte in name.encode():
+        h = (h ^ byte) * 0x100000001B3 & _ALL
+    h = (h ^ h >> 30) * 0xBF58476D1CE4E5B9 & _ALL
+    h = (h ^ h >> 27) * 0x94D049BB133111EB & _ALL
+    return h ^ h >> 31
+
+
+def _truth(formulas) -> int:
+    """Truth mask of a formula sequence, the AND of its members' masks;
+    every member must have one."""
+    acc = _ALL
+    for f in formulas:
+        acc &= f.tv
+    return acc
+
+
 class GroupWord:
     """An element of the free group over atom names (reduced word)."""
 
@@ -140,7 +171,7 @@ class Formula:
     """A hash-consed formula node.  Build via the factory functions."""
 
     __slots__ = ("kind", "name", "left", "right", "size", "kinds", "top",
-                 "nl", "nr", "fgw")
+                 "nl", "nr", "fgw", "tv")
 
     kind: int
     name: str | None          # atom name, for ATOM nodes
@@ -152,6 +183,8 @@ class Formula:
     nl: int                   # \ denominators on the spine to top (else 0)
     nr: int                   # / denominators on the spine to top (else 0)
     fgw: tuple | None         # free-group image, None outside ·,\,/,1
+    tv: int | None            # truth mask: bit k is the value under the
+                              # k-th Boolean valuation, None outside ·,\,/,1
 
     def __repr__(self) -> str:
         return f"<{render_formula(self)}>"
@@ -181,32 +214,37 @@ def _intern(kind: int, name: str | None, left: Formula | None,
     f.kinds = 1 << kind | (left.kinds if left is not None else 0) \
                         | (right.kinds if right is not None else 0)
     f.nl = f.nr = 0
+    f.fgw = f.tv = None
 
     if kind == ATOM:
         f.top = name
         f.fgw = ((name, 1),)
+        f.tv = _atom_tv(name)
     elif kind == UNIT:
         f.top = None
         f.fgw = ()
+        f.tv = _ALL
     elif kind == UNDER:          # left \ right
         f.top = right.top
         f.nl = right.nl + 1
         f.nr = right.nr
-        f.fgw = None if left.fgw is None or right.fgw is None \
-            else _gmul(_ginv(left.fgw), right.fgw)
+        if left.fgw is not None and right.fgw is not None:
+            f.fgw = _gmul(_ginv(left.fgw), right.fgw)
+            f.tv = (left.tv ^ _ALL) | right.tv
     elif kind == OVER:           # left / right
         f.top = left.top
         f.nl = left.nl
         f.nr = left.nr + 1
-        f.fgw = None if left.fgw is None or right.fgw is None \
-            else _gmul(left.fgw, _ginv(right.fgw))
+        if left.fgw is not None and right.fgw is not None:
+            f.fgw = _gmul(left.fgw, _ginv(right.fgw))
+            f.tv = left.tv | (right.tv ^ _ALL)
     elif kind == PROD:
         f.top = None
-        f.fgw = None if left.fgw is None or right.fgw is None \
-            else _gmul(left.fgw, right.fgw)
+        if left.fgw is not None and right.fgw is not None:
+            f.fgw = _gmul(left.fgw, right.fgw)
+            f.tv = left.tv & right.tv
     else:                        # STAR, PLUS, OR, AND: outside the fg fragment
         f.top = None
-        f.fgw = None
 
     _table[key] = f
     return f

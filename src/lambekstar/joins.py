@@ -20,10 +20,12 @@ Strategies, in order:
    empty sequence once its siblings are removed (e.g. families of
    identities ``A\\A``, ``B\\B``).
 
-All certificates are cached by the canonicalised problem, so identical
-problems always return the identical join.  Every ``prove`` a join makes,
-its candidate builders' included, runs in one :class:`ProverSession`, the
-caller's or a fresh one, so no state is searched twice within it.
+Every ``prove`` a join makes, its candidate builders' included, runs in
+one :class:`ProverSession`, the caller's or a fresh one, so no state is
+searched twice within it.  The session also keeps each certificate by its
+problem, so an identical problem in the same session returns the identical
+certificate without a proof; a fresh session computes it again, with the
+same result.
 """
 
 from __future__ import annotations
@@ -273,9 +275,6 @@ class JoinCertificate:
     witnesses: tuple[Derivation, ...]
 
 
-_CACHE: dict[tuple, JoinCertificate] = {}
-
-
 def _align(row: tuple[Formula, ...],
            master: tuple[Formula, ...]) -> tuple[int, ...] | None:
     """Leftmost monotone embedding of ``row`` into ``master`` (by identity)."""
@@ -334,7 +333,8 @@ def join(p: JoinProblem, *, budget: int = DEFAULT_BUDGET,
     """Compute a verified join for the family, or fail with diagnostics.
 
     Every ``prove`` of the call runs in ``session`` (a fresh one when it is
-    None), which must be unrestricted; ``budget`` bounds each witness
+    None), which must be unrestricted and keeps the certificate for a
+    repeat of the same problem; ``budget`` bounds each witness
     verification.  Raises :class:`JoinPreconditionError` when the inputs
     do not share one free-group image (then no join exists at all), and
     :class:`JoinSynthesisError` when every strategy's candidate fails
@@ -342,8 +342,8 @@ def join(p: JoinProblem, *, budget: int = DEFAULT_BUDGET,
     """
     session = _session_for(session, False)
     key = (p.inputs, p.variable_budget)
-    if key in _CACHE:
-        return _CACHE[key]
+    if key in session.joins:
+        return session.joins[key]
     images = {sequence_image(row) for row in p.inputs}
     if len(images) > 1:
         raise JoinPreconditionError(
@@ -376,7 +376,7 @@ def join(p: JoinProblem, *, budget: int = DEFAULT_BUDGET,
         for w in witnesses:
             assert_valid_derivation(w)
         cert = JoinCertificate(p, cand, tuple(witnesses))
-        _CACHE[key] = cert
+        session.joins[key] = cert
         return cert
     raise JoinSynthesisError(
         "no candidate verified; tried:\n  " + "\n  ".join(tried or ["(none)"]))

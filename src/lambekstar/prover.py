@@ -61,11 +61,14 @@ class ProofResult:
 
 
 class ProverSession:
-    """Shared memo across prove() calls (one restriction mode per session)."""
+    """Shared memo across prove() calls (one restriction mode per session),
+    and the join certificates made in it (see :func:`lambekstar.joins.join`),
+    kept by join problem."""
 
     def __init__(self, restricted: bool = False):
         self.restricted = restricted
         self.memo: dict = {}
+        self.joins: dict = {}
         self.steps_used = 0
 
 

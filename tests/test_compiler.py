@@ -31,7 +31,6 @@ from lambekstar import (
     top_of,
     zero_balanced,
 )
-from lambekstar import joins
 from lambekstar.checker import assert_valid_derivation, check_derivation
 
 
@@ -176,8 +175,7 @@ class TestCompileUnique:
         lex = compile_gaifman(gnf).lexicon
         assert set(lex) == {"a"}
 
-    def test_a_session_does_not_change_the_lexicon(self, g3_gnf,
-                                                   monkeypatch):
+    def test_a_session_does_not_change_the_lexicon(self, g3_gnf):
         def rendered(cg):
             return [(render_formula(cg.lexicon[a]),
                      [(render_formula(c.join),
@@ -185,7 +183,6 @@ class TestCompileUnique:
                       for c in (cg.parts[a].f, cg.parts[a].g)])
                     for a in sorted(cg.lexicon)]
 
-        monkeypatch.setattr(joins, "_CACHE", {})
         plain = rendered(compile_unique(g3_gnf))
         # a session that has already answered product queries (general
         # engine) and division queries (kernel) over the compiler's atoms
@@ -196,11 +193,26 @@ class TestCompileUnique:
         assert prove(Sequent((sh,), sh), session=sess).proved
         assert not prove(Sequent((sh, sh), sh), session=sess).proved
         used = sess.steps_used
-        monkeypatch.setattr(joins, "_CACHE", {})
         assert rendered(compile_unique(g3_gnf, session=sess)) == plain
         assert sess.steps_used > used
         with pytest.raises(ValueError):
             compile_unique(g3_gnf, session=ProverSession(restricted=True))
+
+    def test_join_certificates_live_in_the_session(self, g3_gnf):
+        # a repeat compile in one session proves nothing and returns the
+        # same certificates; a fresh session compiles cold, whatever the
+        # process compiled before
+        first = ProverSession()
+        cg = compile_unique(g3_gnf, session=first)
+        used = first.steps_used
+        assert used > 0
+        again = compile_unique(g3_gnf, session=first)
+        assert first.steps_used == used
+        assert all(again.parts[a].f is cg.parts[a].f
+                   and again.parts[a].g is cg.parts[a].g for a in cg.parts)
+        fresh = ProverSession()
+        compile_unique(g3_gnf, session=fresh)
+        assert fresh.steps_used == used
 
     def test_accepts_g1(self, g1):
         session = ProverSession()

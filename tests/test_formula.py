@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +21,7 @@ from lambekstar import (And, Atom, FragmentError, GroupWord, Or, Over,
 from helpers import random_division_pure
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 # --------------------------------------------------------------------------
@@ -155,6 +161,42 @@ class TestFreeGroup:
         except FragmentError:
             return
         assert fg_interp(g) == img * img
+
+
+# --------------------------------------------------------------------------
+# truth masks: 64 Boolean valuations, one bit each
+
+ALL = (1 << 64) - 1
+
+
+class TestTruthMask:
+    def test_connectives_are_boolean(self):
+        a, b = p.tv, q.tv
+        assert 0 <= a <= ALL and 0 <= b <= ALL and a != b
+        assert Under(p, q).tv == ~a & ALL | b          # p -> q
+        assert Over(p, q).tv == a | ~b & ALL           # q -> p
+        assert Prod(p, q).tv == a & b
+        assert Unit().tv == ALL
+        assert Under(p, p).tv == Over(q, q).tv == ALL
+        # currying holds classically as well
+        assert Under(Prod(p, q), r).tv == Under(q, Under(p, r)).tv
+
+    def test_none_outside_the_image_fragment(self):
+        for f in (Or(p, q), And(p, q), Star(p), Plus(p), Under(p, Star(q))):
+            assert f.tv is None
+
+    def test_atom_pattern_is_fixed_by_name(self):
+        # another interpreter, with another string-hash seed, gives every
+        # atom the same 64 values
+        env = dict(os.environ, PYTHONHASHSEED="12345")
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from lambekstar import Atom; "
+             "print(*(Atom(n).tv for n in ('p', 'q', 'x#1')))"],
+            capture_output=True, text=True, env=env, check=True, timeout=60)
+        assert out.stdout.split() == [str(Atom(n).tv)
+                                      for n in ("p", "q", "x#1")]
 
 
 # --------------------------------------------------------------------------

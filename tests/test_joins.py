@@ -11,6 +11,7 @@ from lambekstar import (
     JoinSynthesisError,
     Over,
     Prod,
+    ProverSession,
     Sequent,
     Star,
     Under,
@@ -214,8 +215,13 @@ class TestMenuJoins:
         assert cert.join.left == Atom("core")
 
     def test_join_results_are_cached_by_problem(self):
+        # cached in the session: a repeat proves nothing and returns the
+        # same certificate, and a fresh session finds the same join again
         _, e = self._staircase()
         rows = (e, e[2:], e[4:])
-        first = join(JoinProblem(rows))
-        second = join(JoinProblem(rows))
-        assert second is first
+        session = ProverSession()
+        first = join(JoinProblem(rows), session=session)
+        used = session.steps_used
+        second = join(JoinProblem(rows), session=session)
+        assert second is first and session.steps_used == used
+        assert join(JoinProblem(rows)).join is first.join

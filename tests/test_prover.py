@@ -14,7 +14,7 @@ from lambekstar import (And, Atom, BudgetError, CertificateError,
                         render_derivation, render_sequent,
                         invert_to_atomic, principal_candidates, sentinel)
 from lambekstar.checker import assert_valid_derivation
-from lambekstar.formula import Derivation, _image
+from lambekstar.formula import Derivation, _image, _truth
 
 from helpers import random_division_pure, random_division_sequent
 
@@ -200,8 +200,12 @@ class TestEngines:
             prove(s).derivation)
 
     def test_budget_error(self):
+        # one step short of what a fresh session needs, so the search is
+        # cut whatever the kernel's pruning costs
+        sess = ProverSession()
+        assert not prove(Sequent((S, S), S), session=sess).proved
         with pytest.raises(BudgetError):
-            prove(Sequent((S, S), S), budget=5)
+            prove(Sequent((S, S), S), budget=sess.steps_used - 1)
         with pytest.raises(BudgetError):
             naive_prove(Sequent((S, S), S), budget=5)
 
@@ -261,6 +265,38 @@ def zero_balanced_sequents(n: int, seed: int = 20261018) -> list:
     return out
 
 
+def mask_refuted_sequents(draws: int, seed: int = 20261018) -> list:
+    """Seeded zero-balanced sequents that some Boolean valuation refutes.
+
+    Each draw takes a balanced sequent (a composition chain or a random
+    two-atom sequent, in turn) and weakens one antecedent formula A to
+    B/(A\\B) or (B/A)\\B for a random B: the image stays A, the truth
+    value becomes A or B.  A draw is kept when it fails the truth-mask
+    test, so the image test cannot refute any of them.
+    """
+    rng = random.Random(seed)
+    out = []
+    for k in range(draws):
+        if k % 2:
+            s = random_chain(rng)
+        else:
+            while True:
+                s = random_division_sequent(rng, 10, 4, ("p", "q"))
+                if s.antecedent and _image(s.antecedent) == s.succedent.fgw:
+                    break
+        i = rng.randrange(len(s.antecedent))
+        a = s.antecedent[i]
+        b = random_division_pure(rng, rng.randint(1, 3))
+        a = (Over(b, Under(a, b)) if rng.random() < 0.5
+             else Under(Over(b, a), b))
+        s = Sequent(s.antecedent[:i] + (a,) + s.antecedent[i + 1:],
+                    s.succedent)
+        assert _image(s.antecedent) == s.succedent.fgw
+        if _truth(s.antecedent) & ~s.succedent.tv:
+            out.append(s)
+    return out
+
+
 class TestZeroBalanced:
     @pytest.mark.parametrize("restricted", [False, True])
     def test_kernel_matches_oracle(self, restricted):
@@ -281,6 +317,20 @@ class TestZeroBalanced:
         # floors well below the seeded counts (480 and 495 unrestricted,
         # 420 and 474 restricted), so the test cannot go vacuous
         assert provable >= 400 and deep >= 400
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_mask_refutes_only_underivable_sequents(self, restricted):
+        # the truth-mask test is sound: every balanced sequent it refutes
+        # is underivable by the oracle, and the kernel refutes it in its
+        # first step, before any peeling
+        cases = mask_refuted_sequents(800)
+        for s in cases:
+            sess = ProverSession(restricted)
+            assert not prove(s, restricted=restricted, session=sess).proved
+            assert sess.steps_used == 1, render_sequent(s)
+            assert not naive_prove(s, restricted=restricted), \
+                render_sequent(s)
+        assert len(cases) >= 200
 
 
 # --------------------------------------------------------------------------
