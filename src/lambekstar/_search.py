@@ -6,25 +6,31 @@ Strategy, backward from the goal:
 
   1. invert the succedent to an atom (both right rules are invertible);
   2. refute immediately when the free-group image of the antecedent differs
-     from the goal atom (derivable sequents have equal images), or when
-     one of the 64 fixed Boolean valuations of ``Formula.tv`` makes every
-     antecedent formula true and the goal false (a Boolean algebra is a
-     residuated monoid with ∧ as product and → as both divisions, so
-     derivable sequents are classically valid).  The two tests are
-     orthogonal: the image keeps order, the mask ignores it and refutes
-     sequents such as ``q/(p\\q) -> p`` whose images agree.  Both run once
-     per query, because inverting the succedent keeps them (A · A⁻¹B = B,
-     and Γ ≤ A → B exactly when A ∧ Γ ≤ B), and every sub-search starts on
-     a segment already known to pass them;
+     from the goal atom (derivable sequents have equal images), or when,
+     under one of the 64 fixed valuations of ``Formula.tv`` in the binary
+     relations on a two-point set, the composition of the antecedent's
+     relations is not contained in the goal's.  Relations on a set form a
+     residuated monoid (composition as product, the identity as unit, the
+     two residuals as divisions), so a sequent derivable in L*, and so in
+     L, holds under every valuation.  (L is complete for relational
+     models over all sets, Andréka and Mikulás 1994; 64 valuations on two
+     points are a sound sample of them, not a decision procedure.)  A
+     Boolean truth table is the one-point case, blind to order; with two
+     points the test also refutes sequents whose images agree and which
+     hold classically, such as ``p\\p, p -> p``.  Both tests run once per query, because inverting
+     the succedent keeps them (A · A⁻¹B = B, and Γ ⊆ A\\B exactly when
+     A;Γ ⊆ B), and every sub-search starts on a segment already known to
+     pass them;
   3. otherwise some antecedent formula whose head atom equals the goal is
      peeled connective by connective, each denominator consuming a
      contiguous segment adjacent to the formula, until its head atom
      remains and must stand alone as the axiom.  Segments are tried
-     smallest first, and each one's image and mask are folded from the
-     previous one's with one group multiplication and one ``&``.  A
-     segment is sliced and searched only when its image equals the
-     denominator's, its mask passes against the denominator's, and the
-     sequent left once the denominator is peeled passes the mask test too.
+     smallest first, and each one's image and value are folded from the
+     previous one's with one group multiplication and one composition, on
+     the side the segment grows.  A segment is sliced and searched only
+     when its image equals the denominator's, its value is contained in
+     the denominator's, and the sequent left once the denominator is
+     peeled passes the relational test too.
      The spine counts ``nl``/``nr`` (the \\ and / denominators still to
      be peeled) bound both choices: a candidate with no \\ denominator
      must stand first, one with no / denominator last, and the last \\
@@ -52,7 +58,7 @@ states ``(succ, ant)``, so both engines can share one session's memo.
 
 from .formula import (
     ATOM, UNDER, OVER,
-    BudgetError, Derivation, Sequent, _ALL, _gmul, _image, _truth,
+    BudgetError, Derivation, Sequent, _ID, _comp, _gmul, _image, _truth,
 )
 
 
@@ -64,7 +70,7 @@ def search(ant, succ, memo, budget, restricted, tested=False):
     is a one-element list of remaining expansion steps, shared across the
     whole call tree.  ``restricted`` refuses empty antecedents everywhere
     (Lambek's restriction).  ``tested`` says that ``ant -> succ`` is
-    already known to pass the image and mask tests, as every segment
+    already known to pass the image and relational tests, as every segment
     ``_peel`` hands down does; a top-level query leaves it False so that
     the tests run.
     """
@@ -159,28 +165,30 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted):
     result = None
     conclusion = None
 
-    # a truth mask is a non-negative int below 2**64, so ~t & u keeps just
-    # the bits of u where t is 0, with no masking to 64 bits
+    # a value is a non-negative int, so G & ~C keeps just the bits of G
+    # where C is 0: it is 0 exactly when G lies inside C under every
+    # valuation
     if k == UNDER:
         x = f.left
         g = f.right
         nl = g.nl                          # \ denominators left for lctx[:j]
         xw = x.fgw
         xf = ~x.tv                         # valuations refuting x
-        rv = g.tv & _truth(rctx) & ~succ.tv    # g, rctx true, succ false
+        sf = ~succ.tv                      # valuations refuting succ
+        gr = _comp(g.tv, _truth(rctx))     # [g];[rctx]
         m = len(lctx)
         acc = ()                           # image of the segment lctx[j:]
-        tv = _ALL                          # mask of the segment lctx[j:]
+        tv = _ID                           # value of the segment lctx[j:]
         for j in range(m, nl - 1 if restricted else -1, -1):  # smallest first
             if j < m:
                 h = lctx[j]
                 acc = _gmul(h.fgw, acc)
-                tv &= h.tv
+                tv = _comp(h.tv, tv)
             elif restricted:
                 continue
             if (j and not nl) or acc != xw or tv & xf:
                 continue
-            if rv & _truth(lctx[:j]):      # lctx[:j], g, rctx -> succ
+            if _comp(_truth(lctx[:j]), gr) & sf:   # lctx[:j], g, rctx -> succ
                 continue
             p1 = search(lctx[j:], x, memo, budget, restricted, True)
             if p1 is None:
@@ -198,20 +206,21 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted):
         nr = g.nr                          # / denominators left for rctx[j:]
         yw = y.fgw
         yf = ~y.tv                         # valuations refuting y
-        rv = _truth(lctx) & g.tv & ~succ.tv    # lctx, g true, succ false
+        sf = ~succ.tv                      # valuations refuting succ
+        lg = _comp(_truth(lctx), g.tv)     # [lctx];[g]
         m = len(rctx)
         acc = ()                           # image of the segment rctx[:j]
-        tv = _ALL                          # mask of the segment rctx[:j]
+        tv = _ID                           # value of the segment rctx[:j]
         for j in range(m + 1 - nr if restricted else m + 1):  # smallest first
             if j:
                 h = rctx[j - 1]
                 acc = _gmul(acc, h.fgw)
-                tv &= h.tv
+                tv = _comp(tv, h.tv)
             elif restricted:
                 continue
             if (j < m and not nr) or acc != yw or tv & yf:
                 continue
-            if rv & _truth(rctx[j:]):      # lctx, g, rctx[j:] -> succ
+            if _comp(lg, _truth(rctx[j:])) & sf:   # lctx, g, rctx[j:] -> succ
                 continue
             p1 = search(rctx[:j], y, memo, budget, restricted, True)
             if p1 is None:

@@ -280,8 +280,17 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 # parser
 # --------------------------------------------------------------------------
 
+def _count(text: str) -> int:
+    """Type of every integer flag: a budget, bound, length or depth, which
+    a negative value would turn into a traceback or a vacuous claim."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def _add_budget(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                    help="prover expansion-step budget (default %(default)s)")
 
 
@@ -344,14 +353,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("grammar", help="grammar file, or - for stdin")
     p.add_argument("--method", choices=("safiullin", "gaifman"),
                    default="safiullin")
-    p.add_argument("--max-len", type=int, default=4)
+    p.add_argument("--max-len", type=_count, default=4)
     _add_budget(p)
     _add_json(p)
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("approx", help="refute via polarity approximations")
     p.add_argument("input", help="sequent text")
-    p.add_argument("--n", type=int, default=3,
+    p.add_argument("--n", type=_count, default=3,
                    help="largest approximation depth (default %(default)s)")
     _add_budget(p)
     _add_json(p)
@@ -361,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="expand *-external instances, or refute a "
                             "sequent through them")
     p.add_argument("input", help="formula (list) or sequent (check)")
-    p.add_argument("--bound", type=int, default=3,
+    p.add_argument("--bound", type=_count, default=3,
                    help="star unfolding bound (default %(default)s)")
     _add_budget(p)
     _add_json(p)
@@ -370,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refute-alt2",
                        help="search for a missing alternation word")
     p.add_argument("grammar", help="two-letter grammar file, or - for stdin")
-    p.add_argument("--max-len", type=int, default=6,
+    p.add_argument("--max-len", type=_count, default=6,
                    help="longest alternation word checked")
     _add_budget(p)
     _add_json(p)
@@ -380,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="bounded comparison against the "
                             "division-only reformulation")
     p.add_argument("grammar", help="two-letter grammar file, or - for stdin")
-    p.add_argument("--bound", type=int, default=2,
+    p.add_argument("--bound", type=_count, default=2,
                    help="block count / exponent bound (default %(default)s)")
     _add_budget(p)
     _add_json(p)

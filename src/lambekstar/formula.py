@@ -6,9 +6,9 @@ with object identity and formulas can be used directly as dict keys.  Every
 term caches its node count (``size``), the connectives it uses (``kinds``),
 its head atom (``top``), the number of ``\\`` and ``/`` denominators on
 its spine down to that atom (``nl``, ``nr``), its free-group image
-(``fgw``) and its truth values under 64 fixed Boolean valuations (``tv``)
-at construction time; ``top``, ``fgw`` and ``tv`` are ``None`` outside the
-fragments where they make sense.
+(``fgw``) and its values under 64 fixed valuations in the binary relations
+on a two-point set (``tv``) at construction time; ``top``, ``fgw`` and
+``tv`` are ``None`` outside the fragments where they make sense.
 
 Concrete syntax, loosest to tightest::
 
@@ -102,32 +102,73 @@ def _image(formulas) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# truth masks: a formula's values under 64 fixed Boolean valuations, one
-# bit each.  A Boolean algebra is a residuated monoid (product ∧, both
-# divisions →, unit ⊤), so a sequent derivable in L* (and so in L) holds
-# under every valuation: Γ -> C needs _truth(Γ) & ~C.tv == 0.
+# relational values: a formula's values under 64 fixed valuations in the
+# binary relations on the two-point set {0, 1}.  Relations under
+# composition, with the identity as unit and the two residuals as
+# divisions, form a residuated monoid, so a sequent derivable in L* (and
+# so in L) holds under every valuation: Γ -> C needs
+# _truth(Γ) & ~C.tv == 0.  A value packs four 64-bit lanes into one int,
+# one lane per entry (0,0), (0,1), (1,0), (1,1), lowest first; bit k of
+# each lane belongs to valuation k.  The relations on one point are the
+# two Boolean truth values, so a Boolean truth table is the one-point
+# case; two points let a valuation see order.
 
-_ALL = (1 << 64) - 1
+_ALL = (1 << 64) - 1                   # one lane, and entry (0,0)
+_L01 = _ALL << 64
+_L10 = _ALL << 128
+_L11 = _ALL << 192
+_ID = _ALL | _L11                      # the identity relation
+_FULL = (1 << 256) - 1
+_COL0 = _ALL | _L10                    # entries (i,0)
+_COL1 = _L01 | _L11                    # entries (i,1)
+_ROW0 = _ALL | _L01                    # entries (0,j)
+_ROW1 = _L10 | _L11                    # entries (1,j)
+
+
+def _comp(r: int, s: int) -> int:
+    """Composition r;s of two packed values, all 64 valuations at once:
+    (i,j) is in r;s when (i,0) is in r and (0,j) in s, or (i,1) is in r
+    and (1,j) in s.  Each term copies a column of r across its row and a
+    row of s down its column.  Folds start from the ``_ID`` object
+    itself, so an identity test skips the work for the first member."""
+    if r is _ID:
+        return s
+    if s is _ID:
+        return r
+    a = r & _COL0
+    b = s & _ROW0
+    c = r & _COL1
+    d = s & _ROW1
+    return (a | a << 64) & (b | b << 128) | (c | c >> 64) & (d | d >> 128)
+
+
+def _conv(r: int) -> int:
+    """The converse relation: swap the (0,1) and (1,0) lanes."""
+    return r & _ID | (r & _L01) << 64 | (r & _L10) >> 64
 
 
 def _atom_tv(name: str) -> int:
-    """An atom's 64 truth values, fixed by its name alone: FNV-1a of the
-    name, then the splitmix64 finaliser (built-in ``hash`` of a ``str``
-    is salted per process)."""
+    """An atom's four lanes, fixed by its name alone: FNV-1a of the name
+    seeds the splitmix64 stream, whose next four outputs are the lanes
+    (built-in ``hash`` of a ``str`` is salted per process)."""
     h = 0xCBF29CE484222325
     for byte in name.encode():
         h = (h ^ byte) * 0x100000001B3 & _ALL
-    h = (h ^ h >> 30) * 0xBF58476D1CE4E5B9 & _ALL
-    h = (h ^ h >> 27) * 0x94D049BB133111EB & _ALL
-    return h ^ h >> 31
+    tv = 0
+    for lane in range(4):
+        h = h + 0x9E3779B97F4A7C15 & _ALL
+        z = (h ^ h >> 30) * 0xBF58476D1CE4E5B9 & _ALL
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & _ALL
+        tv |= (z ^ z >> 31) << 64 * lane
+    return tv
 
 
 def _truth(formulas) -> int:
-    """Truth mask of a formula sequence, the AND of its members' masks;
-    every member must have one."""
-    acc = _ALL
+    """Value of a formula sequence, its members' values composed in order
+    (the identity when empty); every member must have one."""
+    acc = _ID
     for f in formulas:
-        acc &= f.tv
+        acc = _comp(acc, f.tv)
     return acc
 
 
@@ -183,8 +224,10 @@ class Formula:
     nl: int                   # \ denominators on the spine to top (else 0)
     nr: int                   # / denominators on the spine to top (else 0)
     fgw: tuple | None         # free-group image, None outside ·,\,/,1
-    tv: int | None            # truth mask: bit k is the value under the
-                              # k-th Boolean valuation, None outside ·,\,/,1
+    tv: int | None            # relational value: four 64-bit lanes, one per
+                              # entry (0,0), (0,1), (1,0), (1,1) of a relation
+                              # on {0, 1}, bit k of each under valuation k;
+                              # None outside ·,\,/,1
 
     def __repr__(self) -> str:
         return f"<{render_formula(self)}>"
@@ -223,26 +266,28 @@ def _intern(kind: int, name: str | None, left: Formula | None,
     elif kind == UNIT:
         f.top = None
         f.fgw = ()
-        f.tv = _ALL
+        f.tv = _ID
     elif kind == UNDER:          # left \ right
         f.top = right.top
         f.nl = right.nl + 1
         f.nr = right.nr
         if left.fgw is not None and right.fgw is not None:
             f.fgw = _gmul(_ginv(left.fgw), right.fgw)
-            f.tv = (left.tv ^ _ALL) | right.tv
+            # left\right is the complement of left˘;¬right
+            f.tv = _comp(_conv(left.tv), right.tv ^ _FULL) ^ _FULL
     elif kind == OVER:           # left / right
         f.top = left.top
         f.nl = left.nl
         f.nr = left.nr + 1
         if left.fgw is not None and right.fgw is not None:
             f.fgw = _gmul(left.fgw, _ginv(right.fgw))
-            f.tv = left.tv | (right.tv ^ _ALL)
+            # left/right is the complement of ¬left;right˘
+            f.tv = _comp(left.tv ^ _FULL, _conv(right.tv)) ^ _FULL
     elif kind == PROD:
         f.top = None
         if left.fgw is not None and right.fgw is not None:
             f.fgw = _gmul(left.fgw, right.fgw)
-            f.tv = left.tv & right.tv
+            f.tv = _comp(left.tv, right.tv)
     else:                        # STAR, PLUS, OR, AND: outside the fg fragment
         f.top = None
 

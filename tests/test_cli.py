@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface (subprocess level)."""
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import pathlib
@@ -223,3 +224,40 @@ class TestStarVerbs:
         r = run_cli("probe", "--json", "--bound", "1", ab_file)
         rec = json.loads(r.stdout)
         assert rec["rows"][0]["exponents"] == [[1, 1]]
+
+
+# every integer flag, on the verb that takes it; a grammar path is given
+# where the verb needs one, but the flag is refused before it is read
+NEGATIVE_FLAGS = [
+    ("prove", "p -> p", "--budget"),
+    ("compile", "g.cfg", "--budget"),
+    ("equiv", "g.cfg", "--budget"),
+    ("equiv", "g.cfg", "--max-len"),
+    ("approx", "p^* -> p^*", "--budget"),
+    ("approx", "p^* -> p^*", "--n"),
+    ("instances", "p^* -> p", "--budget"),
+    ("instances", "p^* -> p", "--bound"),
+    ("refute-alt2", "g.cfg", "--budget"),
+    ("refute-alt2", "g.cfg", "--max-len"),
+    ("probe", "g.cfg", "--budget"),
+    ("probe", "g.cfg", "--bound"),
+]
+
+
+@pytest.mark.parametrize("verb,arg,flag", NEGATIVE_FLAGS)
+def test_negative_count_is_a_usage_error(verb, arg, flag, capsys):
+    assert cli.main([verb, arg, flag, "-1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag}: must not be negative: -1" in err
+    assert "Traceback" not in err
+
+
+def test_every_integer_flag_is_covered():
+    flags = {(verb, flag) for verb, _, flag in NEGATIVE_FLAGS}
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for verb, p in sub.choices.items():
+        for a in p._actions:
+            if a.type in (int, cli._count):
+                assert a.type is cli._count
+                assert (verb, a.option_strings[0]) in flags

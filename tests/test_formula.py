@@ -13,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 from lambekstar import (And, Atom, FragmentError, GroupWord, Or, Over,
                         ParseError, Plus, Prod, Sequent, Star, Under, Unit,
                         VarSupply, atoms_of, curried_division, division_pure,
-                        fg_interp, parse_formula, parse_sequent,
+                        fg_interp, naive_prove, parse_formula, parse_sequent,
                         render_formula, render_sequent, sentinel,
                         sequence_image, split_curried, top_of, type_raise,
                         zero_balanced)
+from lambekstar.formula import _comp, _truth
 
 from helpers import random_division_pure
 
@@ -164,22 +165,80 @@ class TestFreeGroup:
 
 
 # --------------------------------------------------------------------------
-# truth masks: 64 Boolean valuations, one bit each
+# relational values: 64 valuations in the relations on {0, 1}, packed as
+# four 64-bit lanes, one per entry (0,0), (0,1), (1,0), (1,1)
 
-ALL = (1 << 64) - 1
+ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def relation(tv, k):
+    """The relation that valuation ``k`` gives a packed value."""
+    return {e for lane, e in enumerate(ENTRIES) if tv >> (64 * lane + k) & 1}
+
+
+def covers(g, c):
+    """``g`` is contained in ``c`` under every valuation."""
+    return g & ~c == 0
 
 
 class TestTruthMask:
-    def test_connectives_are_boolean(self):
-        a, b = p.tv, q.tv
-        assert 0 <= a <= ALL and 0 <= b <= ALL and a != b
-        assert Under(p, q).tv == ~a & ALL | b          # p -> q
-        assert Over(p, q).tv == a | ~b & ALL           # q -> p
-        assert Prod(p, q).tv == a & b
-        assert Unit().tv == ALL
-        assert Under(p, p).tv == Over(q, q).tv == ALL
-        # currying holds classically as well
+    def test_connectives_follow_their_definitions(self, rng):
+        # composition and both residuals, against the relations they pack
+        pts = (0, 1)
+        for _ in range(20):
+            a = random_division_pure(rng, rng.randint(1, 7))
+            b = random_division_pure(rng, rng.randint(1, 7))
+            for k in rng.sample(range(64), 8):
+                ra, rb = relation(a.tv, k), relation(b.tv, k)
+                assert relation(Prod(a, b).tv, k) == {
+                    (i, j) for i in pts for j in pts
+                    if any((i, m) in ra and (m, j) in rb for m in pts)}
+                assert relation(Under(a, b).tv, k) == {
+                    (i, j) for i in pts for j in pts
+                    if all((m, j) in rb for m in pts if (m, i) in ra)}
+                assert relation(Over(b, a).tv, k) == {
+                    (i, j) for i in pts for j in pts
+                    if all((i, m) in rb for m in pts if (j, m) in ra)}
+        assert all(relation(Unit().tv, k) == {(0, 0), (1, 1)}
+                   for k in range(64))
+        assert p.tv != q.tv and 0 <= p.tv < 1 << 256
+
+    def test_residuation(self, rng):
+        # A;X <= B exactly when X <= A\B, and X;A <= B exactly when
+        # X <= B/A: the residuals are the largest such X
+        for _ in range(100):
+            a, b, x = (random_division_pure(rng, rng.randint(1, 7))
+                       for _ in range(3))
+            assert covers(_comp(a.tv, Under(a, b).tv), b.tv)
+            assert covers(_comp(Over(b, a).tv, a.tv), b.tv)
+            assert covers(_comp(a.tv, x.tv), b.tv) \
+                == covers(x.tv, Under(a, b).tv)
+            assert covers(_comp(x.tv, a.tv), b.tv) \
+                == covers(x.tv, Over(b, a).tv)
+
+    def test_composition_is_a_monoid(self, rng):
+        one = Unit().tv
+        for _ in range(100):
+            a, b, c = (rng.getrandbits(256) for _ in range(3))
+            assert _comp(_comp(a, b), c) == _comp(a, _comp(b, c))
+            assert _comp(one, a) == a == _comp(a, one)
+
+    def test_currying(self):
         assert Under(Prod(p, q), r).tv == Under(q, Under(p, r)).tv
+        assert Over(r, Prod(p, q)).tv == Over(Over(r, q), p).tv
+        assert _truth((p, q, r)) == Prod(Prod(p, q), r).tv
+        assert _truth(()) == Unit().tv
+
+    def test_refutes_what_order_decides(self):
+        # p\p, p -> p has a balanced image and holds under every Boolean
+        # valuation (p -> p and p give p), but is underivable: relations
+        # see that p must stand first
+        s = parse_sequent("p\\p, p -> p")
+        assert sequence_image(s.antecedent) == fg_interp(s.succedent)
+        assert not naive_prove(s)
+        assert _truth(s.antecedent) & ~s.succedent.tv
+        assert not _truth(parse_sequent("p, p\\p -> p").antecedent) \
+            & ~p.tv
 
     def test_none_outside_the_image_fragment(self):
         for f in (Or(p, q), And(p, q), Star(p), Plus(p), Under(p, Star(q))):
@@ -187,7 +246,7 @@ class TestTruthMask:
 
     def test_atom_pattern_is_fixed_by_name(self):
         # another interpreter, with another string-hash seed, gives every
-        # atom the same 64 values
+        # atom the same four lanes
         env = dict(os.environ, PYTHONHASHSEED="12345")
         env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
         out = subprocess.run(

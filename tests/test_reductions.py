@@ -138,8 +138,8 @@ class TestRefuteAlt2:
         w = refute_alt2(total_plus_to_alt2(parse_cfg(AB_GRAMMAR)), 3,
                         session=session)
         assert w is not None and w.word == ("a", "a", "b")
-        assert session.steps_used == 3941
-        assert len(session.memo) == 3941
+        assert session.steps_used == 455
+        assert len(session.memo) == 455
         proved = [(s, r.derivation) for s, r in proofs if r.proved]
         assert len(proved) == 1
         for s, d in proved:
