@@ -37,8 +37,7 @@ from .compiler import (
     compile_unique, compile_gaifman, build_is_formula, accepts,
 )
 from .stars import (
-    ApproximationOutcome, InstanceOutcome, InstanceStream,
-    InstanceMembershipError,
+    ApproximationOutcome, InstanceOutcome, InstanceMembershipError,
     approximate, check_approximations, is_star_external,
     instances, check_instances, instance_soundness, derive_identity,
 )

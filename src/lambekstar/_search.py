@@ -5,31 +5,29 @@ This is the hot loop of the package, in plain Python.
 Strategy, backward from the goal:
 
   1. invert the succedent to an atom (both right rules are invertible);
-  2. refute immediately when the free-group image of the antecedent differs
-     from the goal atom (derivable sequents have equal images), or when,
-     under one of the 64 fixed valuations of ``Formula.tv`` in the binary
-     relations on a two-point set, the composition of the antecedent's
-     relations is not contained in the goal's.  Relations on a set form a
-     residuated monoid (composition as product, the identity as unit, the
-     two residuals as divisions), so a sequent derivable in L*, and so in
-     L, holds under every valuation.  (L is complete for relational
-     models over all sets, Andréka and Mikulás 1994; 64 valuations on two
-     points are a sound sample of them, not a decision procedure.)  A
-     Boolean truth table is the one-point case, blind to order; with two
-     points the test also refutes sequents whose images agree and which
-     hold classically, such as ``p\\p, p -> p``.  Both tests run once per query, because inverting
-     the succedent keeps them (A · A⁻¹B = B, and Γ ⊆ A\\B exactly when
-     A;Γ ⊆ B), and every sub-search starts on a segment already known to
-     pass them;
+  2. refute immediately when, under one of the 64 fixed valuations of
+     ``Formula.tv`` in the binary relations on a two-point set, the
+     composition of the antecedent's relations is not contained in the
+     goal's.  Relations on a set form a residuated monoid (composition as
+     product, the identity as unit, the two residuals as divisions), so a
+     sequent derivable in L*, and so in L, holds under every valuation.
+     (L is complete for relational models over all sets, Andréka and
+     Mikulás 1994; 64 valuations on two points are a sound sample of
+     them, not a decision procedure.)  The test refutes sequents whose
+     free-group images agree and which hold classically, such as
+     ``p\\p, p -> p``.  Equal images are necessary too, but not tested:
+     on compiled lexicons the image test cuts nothing this one does not.
+     The test runs once per query, because inverting the succedent keeps
+     it (Γ ⊆ A\\B exactly when A;Γ ⊆ B), and every sub-search starts on a
+     segment already known to pass it;
   3. otherwise some antecedent formula whose head atom equals the goal is
      peeled connective by connective, each denominator consuming a
      contiguous segment adjacent to the formula, until its head atom
      remains and must stand alone as the axiom.  Segments are tried
-     smallest first, and each one's image and value are folded from the
-     previous one's with one group multiplication and one composition, on
-     the side the segment grows.  A segment is sliced and searched only
-     when its image equals the denominator's, its value is contained in
-     the denominator's, and the sequent left once the denominator is
+     smallest first, and each one's value is folded from the previous
+     one's with one composition, on the side the segment grows.  A
+     segment is sliced and searched only when its value is contained in
+     the denominator's and the sequent left once the denominator is
      peeled passes the relational test too.
      The spine counts ``nl``/``nr`` (the \\ and / denominators still to
      be peeled) bound both choices: a candidate with no \\ denominator
@@ -39,7 +37,7 @@ Strategy, backward from the goal:
      segment of its own, so a context shorter than its count of
      denominators is refused too.  Peeling consumes context only through
      denominators, and the axiom at the head needs both contexts empty.
-     So every branch these tests and bounds cut would fail after its
+     So every branch the test and these bounds cut would fail after its
      sub-searches had been paid for, and the surviving branches are tried
      in the same order as without them: verdicts and derivations do not
      change, only the states expanded.
@@ -58,7 +56,7 @@ states ``(succ, ant)``, so both engines can share one session's memo.
 
 from .formula import (
     ATOM, UNDER, OVER,
-    BudgetError, Derivation, Sequent, _ID, _comp, _gmul, _image, _truth,
+    BudgetError, Derivation, Sequent, _ID, _comp, _truth,
 )
 
 
@@ -70,9 +68,9 @@ def search(ant, succ, memo, budget, restricted, tested=False):
     is a one-element list of remaining expansion steps, shared across the
     whole call tree.  ``restricted`` refuses empty antecedents everywhere
     (Lambek's restriction).  ``tested`` says that ``ant -> succ`` is
-    already known to pass the image and relational tests, as every segment
+    already known to pass the relational test, as every segment
     ``_peel`` hands down does; a top-level query leaves it False so that
-    the tests run.
+    the test runs.
     """
     if restricted and not ant:
         return None
@@ -120,8 +118,7 @@ def _solve_atomic(ant, succ, memo, budget, restricted, tested):
         return Derivation("Ax", Sequent(ant, succ))
     if n == 0:
         return None
-    if not tested and (_image(ant) != succ.fgw
-                       or _truth(ant) & ~succ.tv):
+    if not tested and _truth(ant) & ~succ.tv:
         return None
     goal = succ.name
     last = n - 1
@@ -172,21 +169,17 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted):
         x = f.left
         g = f.right
         nl = g.nl                          # \ denominators left for lctx[:j]
-        xw = x.fgw
         xf = ~x.tv                         # valuations refuting x
         sf = ~succ.tv                      # valuations refuting succ
         gr = _comp(g.tv, _truth(rctx))     # [g];[rctx]
         m = len(lctx)
-        acc = ()                           # image of the segment lctx[j:]
         tv = _ID                           # value of the segment lctx[j:]
         for j in range(m, nl - 1 if restricted else -1, -1):  # smallest first
             if j < m:
-                h = lctx[j]
-                acc = _gmul(h.fgw, acc)
-                tv = _comp(h.tv, tv)
+                tv = _comp(lctx[j].tv, tv)
             elif restricted:
                 continue
-            if (j and not nl) or acc != xw or tv & xf:
+            if (j and not nl) or tv & xf:
                 continue
             if _comp(_truth(lctx[:j]), gr) & sf:   # lctx[:j], g, rctx -> succ
                 continue
@@ -204,21 +197,17 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted):
         y = f.right
         g = f.left
         nr = g.nr                          # / denominators left for rctx[j:]
-        yw = y.fgw
         yf = ~y.tv                         # valuations refuting y
         sf = ~succ.tv                      # valuations refuting succ
         lg = _comp(_truth(lctx), g.tv)     # [lctx];[g]
         m = len(rctx)
-        acc = ()                           # image of the segment rctx[:j]
         tv = _ID                           # value of the segment rctx[:j]
         for j in range(m + 1 - nr if restricted else m + 1):  # smallest first
             if j:
-                h = rctx[j - 1]
-                acc = _gmul(acc, h.fgw)
-                tv = _comp(tv, h.tv)
+                tv = _comp(tv, rctx[j - 1].tv)
             elif restricted:
                 continue
-            if (j < m and not nr) or acc != yw or tv & yf:
+            if (j < m and not nr) or tv & yf:
                 continue
             if _comp(lg, _truth(rctx[j:])) & sf:   # lctx, g, rctx[j:] -> succ
                 continue

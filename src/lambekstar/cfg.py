@@ -108,9 +108,6 @@ class Grammar:
                     seen.append(sym)
         return tuple(seen)
 
-    def alternatives(self, nt: str) -> tuple[tuple[str, ...], ...]:
-        return tuple(rhs for lhs, rhs in self.rules if lhs == nt)
-
     def __str__(self) -> str:
         return render_cfg(self)
 
@@ -159,9 +156,6 @@ class GnfCfg:
             if a not in seen:
                 seen.append(a)
         return tuple(seen)
-
-    def index(self, nt: str) -> int:
-        return self.nonterminals.index(nt)
 
     def to_grammar(self) -> Grammar:
         rules = tuple(

@@ -224,7 +224,7 @@ def _cmd_instances(args: argparse.Namespace) -> int:
         _emit(args, record, text)
         return 1 if out.refuted else 0
     f = parse_formula(args.input)
-    seqs = list(instances(f, args.bound))
+    seqs = instances(f, args.bound)
     rows = [", ".join(render_formula(x) for x in seq) if seq else "Λ"
             for seq in seqs]
     _emit(args, {"formula": render_formula(f), "bound": args.bound,
@@ -280,13 +280,25 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 # parser
 # --------------------------------------------------------------------------
 
-def _count(text: str) -> int:
+def _count(text: str, least: int = 0) -> int:
     """Type of every integer flag: a budget, bound, length or depth, which
     a negative value would turn into a traceback or a vacuous claim."""
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    if n < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}: {n}")
     return n
+
+
+def _positive(text: str) -> int:
+    """A word length or block bound: at 0 there is nothing to check."""
+    return _count(text, 1)
+
+
+def _alternation_length(text: str) -> int:
+    """A bound on alternation words, the shortest of which has length 2."""
+    return _count(text, 2)
 
 
 def _add_budget(p: argparse.ArgumentParser) -> None:
@@ -353,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("grammar", help="grammar file, or - for stdin")
     p.add_argument("--method", choices=("safiullin", "gaifman"),
                    default="safiullin")
-    p.add_argument("--max-len", type=_count, default=4)
+    p.add_argument("--max-len", type=_positive, default=4)
     _add_budget(p)
     _add_json(p)
     p.set_defaults(func=_cmd_equiv)
@@ -379,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refute-alt2",
                        help="search for a missing alternation word")
     p.add_argument("grammar", help="two-letter grammar file, or - for stdin")
-    p.add_argument("--max-len", type=_count, default=6,
+    p.add_argument("--max-len", type=_alternation_length, default=6,
                    help="longest alternation word checked")
     _add_budget(p)
     _add_json(p)
@@ -389,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="bounded comparison against the "
                             "division-only reformulation")
     p.add_argument("grammar", help="two-letter grammar file, or - for stdin")
-    p.add_argument("--bound", type=_count, default=2,
+    p.add_argument("--bound", type=_positive, default=2,
                    help="block count / exponent bound (default %(default)s)")
     _add_budget(p)
     _add_json(p)

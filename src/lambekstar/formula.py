@@ -8,7 +8,10 @@ its head atom (``top``), the number of ``\\`` and ``/`` denominators on
 its spine down to that atom (``nl``, ``nr``), its free-group image
 (``fgw``) and its values under 64 fixed valuations in the binary relations
 on a two-point set (``tv``) at construction time; ``top``, ``fgw`` and
-``tv`` are ``None`` outside the fragments where they make sense.
+``tv`` are ``None`` outside the fragments where they make sense.  Both
+provers refute through ``tv`` alone; the images serve the public API
+(:func:`fg_interp`, :func:`sequence_image`, :func:`zero_balanced`), the
+join precondition and the certificate audit.
 
 Concrete syntax, loosest to tightest::
 
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "ATOM", "UNIT", "UNDER", "OVER", "PROD", "STAR", "PLUS", "OR", "AND",
@@ -91,14 +94,6 @@ def _gmul(a: tuple, b: tuple) -> tuple:
 
 def _ginv(a: tuple) -> tuple:
     return tuple((name, -sign) for name, sign in reversed(a))
-
-
-def _image(formulas) -> tuple:
-    """Free-group image of a formula sequence; every member must have one."""
-    acc = ()
-    for f in formulas:
-        acc = _gmul(acc, f.fgw)
-    return acc
 
 
 # --------------------------------------------------------------------------
@@ -223,7 +218,9 @@ class Formula:
     top: str | None           # head atom through \ and / numerators
     nl: int                   # \ denominators on the spine to top (else 0)
     nr: int                   # / denominators on the spine to top (else 0)
-    fgw: tuple | None         # free-group image, None outside ·,\,/,1
+    fgw: tuple | None         # free-group image, for the API and the
+                              # audits (search does not read it); None
+                              # outside ·,\,/,1
     tv: int | None            # relational value: four 64-bit lanes, one per
                               # entry (0,0), (0,1), (1,0), (1,1) of a relation
                               # on {0, 1}, bit k of each under valuation k;
@@ -557,12 +554,15 @@ def fg_interp(f: Formula) -> GroupWord:
 
 
 def sequence_image(formulas: Iterable[Formula]) -> GroupWord:
-    formulas = tuple(formulas)
+    """Free-group image of a formula sequence: its members' images
+    multiplied in order."""
+    acc = ()
     for f in formulas:
         if f.fgw is None:
             raise FragmentError(
                 f"no free-group image for {render_formula(f)}")
-    return GroupWord(_image(formulas))
+        acc = _gmul(acc, f.fgw)
+    return GroupWord(acc)
 
 
 def zero_balanced(f: Formula) -> bool:
@@ -672,10 +672,6 @@ class VarSupply:
         for f in formulas:
             used |= atoms_of(f)
         return cls(used)
-
-    def reserve(self, formulas: Iterable[Formula]) -> None:
-        for f in formulas:
-            self.used |= atoms_of(f)
 
     def fresh(self, base: str) -> str:
         if base not in self.used:

@@ -15,7 +15,7 @@ restriction, the unit or any iteration raise :class:`FragmentError` — the
 
 ``naive_prove`` is an intentionally simple independent oracle: it tries
 every rule at every position with no inversion phases, no head-atom
-focusing and no free-group pruning, and shares nothing with the engines
+focusing and no relational pruning, and shares nothing with the engines
 beyond the formula terms themselves.
 """
 
@@ -30,7 +30,7 @@ from .checker import assert_valid_derivation, check_derivation
 from .formula import (
     ATOM, UNIT, UNDER, OVER, PROD, STAR, PLUS, OR, AND,
     BudgetError, CertificateError, Derivation, Formula, FragmentError,
-    GroupWord, Prod, Sequent, Star, Unit, _image, _rebuild,
+    GroupWord, Prod, Sequent, Star, Unit, _rebuild, _truth,
     division_pure, render_formula, render_sequent, sequence_image,
 )
 
@@ -279,8 +279,9 @@ def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
             return None if p2 is None \
                 else Derivation("|->", conclusion, (p1, p2))
 
-    if succ.fgw is not None and all(f.fgw is not None for f in ant) \
-            and _image(ant) != succ.fgw:
+    # the relational test of the kernel, where every formula has a value
+    if succ.tv is not None and all(f.tv is not None for f in ant) \
+            and _truth(ant) & ~succ.tv:
         return None
 
     # axioms

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .checker import assert_valid_derivation
 from .formula import (
@@ -36,7 +36,7 @@ from .formula import (
 from .prover import DEFAULT_BUDGET, ProverSession, normalize_plus, prove
 
 __all__ = [
-    "ApproximationOutcome", "InstanceOutcome", "InstanceStream",
+    "ApproximationOutcome", "InstanceOutcome",
     "InstanceMembershipError", "approximate", "check_approximations",
     "is_star_external", "instances", "check_instances",
     "instance_soundness", "derive_identity",
@@ -181,39 +181,16 @@ def _inst(f: Formula, bound: int,
     return out
 
 
-class InstanceStream:
-    """Deterministic length-lexicographic stream of bounded instances.
-
-    Iterates over the sequences in ``Inst(source)`` in which every star
-    (``*``: 0..bound repetitions) and plus (``^+``: 1..bound) is unfolded
-    at most ``bound`` times.
-    """
-
-    def __init__(self, source: Formula, bound: int):
-        if bound < 0:
-            raise ValueError("instance bound must be >= 0")
-        self.source = source
-        self.bound = bound
-        self._items: tuple[tuple[Formula, ...], ...] | None = None
-
-    def _materialize(self) -> tuple[tuple[Formula, ...], ...]:
-        if self._items is None:
-            self._items = _inst(self.source, self.bound, {})
-        return self._items
-
-    def __iter__(self) -> Iterator[tuple[Formula, ...]]:
-        return iter(self._materialize())
-
-    def __len__(self) -> int:
-        return len(self._materialize())
-
-
-def instances(f: Formula, bound: int) -> InstanceStream:
-    """Stream the instances of a *-external formula, stars unfolded <= bound."""
+def instances(f: Formula, bound: int) -> tuple[tuple[Formula, ...], ...]:
+    """The instances of a *-external formula in length-lexicographic order,
+    every star (``*``: 0..bound repetitions) and plus (``^+``: 1..bound)
+    unfolded at most ``bound`` times."""
     if not _formula_star_external(f):
         raise FragmentError(
             f"{render_formula(f)} is not *-external; cannot expand instances")
-    return InstanceStream(f, bound)
+    if bound < 0:
+        raise ValueError("instance bound must be >= 0")
+    return _inst(f, bound, {})
 
 
 @dataclass(frozen=True)
@@ -242,7 +219,7 @@ def check_instances(s: Sequent, bound: int = 3, *,
         raise FragmentError(f"{render_sequent(s)} is not *-external")
     if session is None:
         session = ProverSession()
-    per_formula = [tuple(instances(f, bound)) for f in s.antecedent]
+    per_formula = [instances(f, bound) for f in s.antecedent]
     combos = sorted(
         {tuple(itertools.chain.from_iterable(pick))
          for pick in itertools.product(*per_formula)},

@@ -20,6 +20,7 @@ from lambekstar import (
     cyk_member,
     division_pure,
     equivalence_harness,
+    fg_interp,
     instance_soundness,
     instances,
     naive_prove,
@@ -27,11 +28,12 @@ from lambekstar import (
     parse_sequent,
     prove,
     refute_alt2,
+    sequence_image,
     to_gnf2,
     total_plus_to_alt2,
 )
 from lambekstar.checker import assert_valid_derivation, check_derivation
-from lambekstar.formula import Formula, _image
+from lambekstar.formula import Formula
 from lambekstar.prover import _general
 
 from conftest import audit_recorder, record_criterion
@@ -58,7 +60,7 @@ def test_criterion_01_engine_agreement():
     # which the image test cannot refute, so that every engine searches
     while len(cases) < 800:
         s = random_division_sequent(rng, 14, 5, ("p", "q"))
-        if _image(s.antecedent) == s.succedent.fgw:
+        if sequence_image(s.antecedent) == fg_interp(s.succedent):
             cases.append(s)
     n = len(cases)
     agreements = 0

@@ -258,6 +258,33 @@ def test_every_integer_flag_is_covered():
                if isinstance(a, argparse._SubParsersAction))
     for verb, p in sub.choices.items():
         for a in p._actions:
-            if a.type in (int, cli._count):
-                assert a.type is cli._count
+            if a.type in (int, cli._count, cli._positive,
+                          cli._alternation_length):
+                assert a.type is not int
                 assert (verb, a.option_strings[0]) in flags
+
+
+# bounds under which a verb has nothing to check: no alternation word is
+# shorter than 2, and no word or instance block is shorter than 1
+@pytest.mark.parametrize("verb,flag,value,least", [
+    ("refute-alt2", "--max-len", "0", 2),
+    ("refute-alt2", "--max-len", "1", 2),
+    ("equiv", "--max-len", "0", 1),
+    ("probe", "--bound", "0", 1),
+])
+def test_vacuous_bound_is_a_usage_error(verb, flag, value, least, ab_file,
+                                        capsys):
+    assert cli.main([verb, ab_file, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag}: must be at least {least}: {value}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "p -> p", "--budget", "0"],
+    ["approx", "p^* -> p^*", "--n", "0"],
+    ["instances", "p^* -> p", "--bound", "0"],
+])
+def test_zero_stays_valid(argv):
+    assert getattr(cli._build_parser().parse_args(argv),
+                   argv[2].lstrip("-")) == 0

@@ -9,12 +9,13 @@ import pytest
 from lambekstar import (And, Atom, BudgetError, CertificateError,
                         FragmentError, Or, Over, Plus, Prod, ProverSession,
                         Sequent, Star, Under, Unit, check_derivation,
+                        fg_interp,
                         kernel_backend, naive_prove, normalize_plus,
                         parse_sequent, prove, prove_focused,
-                        render_derivation, render_sequent,
+                        render_derivation, render_sequent, sequence_image,
                         invert_to_atomic, principal_candidates, sentinel)
 from lambekstar.checker import assert_valid_derivation
-from lambekstar.formula import Derivation, _image, _truth
+from lambekstar.formula import Derivation, _truth
 
 from helpers import random_division_pure, random_division_sequent
 
@@ -230,7 +231,7 @@ class TestEngines:
 
 
 # --------------------------------------------------------------------------
-# kernel search on zero-balanced sequents, where the image test prunes nothing
+# kernel search on zero-balanced sequents, where an image test prunes nothing
 
 # denominators proved from the empty segment (where the \ loop starts, at
 # the end of the left context, and where the / loop starts, at the start of
@@ -259,7 +260,7 @@ def zero_balanced_sequents(n: int, seed: int = 20261018) -> list:
         else:
             while True:
                 s = random_division_sequent(rng, 14, 5, ("p", "q"))
-                if _image(s.antecedent) == s.succedent.fgw:
+                if sequence_image(s.antecedent) == fg_interp(s.succedent):
                     out.append(s)
                     break
     return out
@@ -273,7 +274,7 @@ def mask_refuted_sequents(draws: int, seed: int = 20261018) -> list:
     two-atom sequent, in turn) and weakens one antecedent formula A to
     B/(A\\B) or (B/A)\\B for a random B: the image stays A, the value
     grows to a relation containing A's.  A draw is kept when it fails the
-    relational test, so the image test cannot refute any of them.
+    relational test, so an image test could refute none of them.
     """
     rng = random.Random(seed)
     out = []
@@ -283,7 +284,8 @@ def mask_refuted_sequents(draws: int, seed: int = 20261018) -> list:
         else:
             while True:
                 s = random_division_sequent(rng, 10, 4, ("p", "q"))
-                if s.antecedent and _image(s.antecedent) == s.succedent.fgw:
+                if s.antecedent and sequence_image(s.antecedent) \
+                        == fg_interp(s.succedent):
                     break
         i = rng.randrange(len(s.antecedent))
         a = s.antecedent[i]
@@ -292,7 +294,7 @@ def mask_refuted_sequents(draws: int, seed: int = 20261018) -> list:
              else Under(Over(b, a), b))
         s = Sequent(s.antecedent[:i] + (a,) + s.antecedent[i + 1:],
                     s.succedent)
-        assert _image(s.antecedent) == s.succedent.fgw
+        assert sequence_image(s.antecedent) == fg_interp(s.succedent)
         if _truth(s.antecedent) & ~s.succedent.tv:
             out.append(s)
     return out
@@ -304,7 +306,7 @@ class TestZeroBalanced:
         cases = zero_balanced_sequents(700)
         provable = deep = 0
         for s in cases:
-            assert _image(s.antecedent) == s.succedent.fgw
+            assert sequence_image(s.antecedent) == fg_interp(s.succedent)
             sess = ProverSession(restricted)
             res = prove(s, restricted=restricted, session=sess)
             assert res.proved == naive_prove(s, restricted=restricted), \
@@ -333,6 +335,16 @@ class TestZeroBalanced:
             assert not naive_prove(s, restricted=restricted), \
                 render_sequent(s)
         assert len(cases) >= 200
+
+    @pytest.mark.parametrize("text", ["p\\p, p -> p.1", "q\\q, q, p -> q.p"])
+    def test_general_engine_refutes_relationally(self, text):
+        # equal images, classically valid, underivable: the general engine
+        # runs the kernel's relational test and refutes in its first step
+        s = parse_sequent(text)
+        sess = ProverSession()
+        assert not prove(s, session=sess).proved
+        assert sess.steps_used == 1
+        assert not naive_prove(s)
 
 
 # --------------------------------------------------------------------------
