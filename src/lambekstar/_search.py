@@ -28,7 +28,13 @@ Strategy, backward from the goal:
      one's with one composition, on the side the segment grows.  A
      segment is sliced and searched only when its value is contained in
      the denominator's and the sequent left once the denominator is
-     peeled passes the relational test too.
+     peeled passes the relational test too.  The context beside a
+     segment is a prefix or a suffix of the state's antecedent all along
+     the peel chain, so its value comes from the state's lists of prefix
+     and suffix values, each entry composed once, when a test first
+     reads it.  A top-level query's own test reads the whole
+     antecedent's value from the prefix list; a sub-search, tested
+     already, makes its lists only once it has a candidate to peel.
      The spine counts ``nl``/``nr`` (the \\ and / denominators still to
      be peeled) bound both choices: a candidate with no \\ denominator
      must stand first, one with no / denominator last, and the last \\
@@ -56,7 +62,7 @@ states ``(succ, ant)``, so both engines can share one session's memo.
 
 from .formula import (
     ATOM, UNDER, OVER,
-    BudgetError, Derivation, Sequent, _ID, _comp, _truth,
+    BudgetError, Derivation, Sequent, _ID, _comp,
 )
 
 
@@ -118,8 +124,15 @@ def _solve_atomic(ant, succ, memo, budget, restricted, tested):
         return Derivation("Ax", Sequent(ant, succ))
     if n == 0:
         return None
-    if not tested and _truth(ant) & ~succ.tv:
-        return None
+    # pre[k] is the value of ant[:k], suf[k] that of the last k formulas;
+    # both grow only as far as a test needs them, and every context of
+    # the peel chains below is a prefix or a suffix of ant
+    pre = suf = None
+    if not tested:
+        pre = [_ID]
+        suf = [_ID]
+        if _prefix(pre, ant, n) & ~succ.tv:
+            return None
     goal = succ.name
     last = n - 1
     for i in range(n):
@@ -134,15 +147,47 @@ def _solve_atomic(ant, succ, memo, budget, restricted, tested):
                 continue
             if restricted and (i < nl or last - i < nr):
                 continue
-            d = _peel(ant[:i], f, ant[i + 1:], succ, memo, budget, restricted)
+            if pre is None:
+                pre = [_ID]
+                suf = [_ID]
+            d = _peel(ant[:i], f, ant[i + 1:], succ, memo, budget, restricted,
+                      pre, suf)
             if d is not None:
                 return d
     return None
 
 
-def _peel(lctx, f, rctx, succ, memo, budget, restricted):
+def _prefix(pre, lctx, j):
+    """Value of ``lctx[:j]``, from ``pre`` grown as far as ``j``; ``lctx``
+    is a prefix of the sequence whose prefix values ``pre`` holds."""
+    if j < len(pre):
+        return pre[j]
+    acc = pre[-1]
+    for k in range(len(pre), j + 1):
+        acc = _comp(acc, lctx[k - 1].tv)
+        pre.append(acc)
+    return acc
+
+
+def _suffix(suf, rctx, k):
+    """Value of the last ``k`` formulas of ``rctx``, from ``suf`` grown as
+    far as ``k``; ``rctx`` is a suffix of the sequence whose suffix values
+    ``suf`` holds."""
+    if k < len(suf):
+        return suf[k]
+    acc = suf[-1]
+    m = len(rctx)
+    for i in range(len(suf), k + 1):
+        acc = _comp(rctx[m - i].tv, acc)
+        suf.append(acc)
+    return acc
+
+
+def _peel(lctx, f, rctx, succ, memo, budget, restricted, pre, suf):
     """Derivation of ``lctx, f, rctx -> succ`` in which ``f`` is peeled all
-    the way down to its head atom, or None."""
+    the way down to its head atom, or None.  ``pre`` and ``suf`` are the
+    prefix and suffix values of the state's antecedent, of which ``lctx``
+    is a prefix and ``rctx`` a suffix."""
     k = f.kind
     if k == ATOM:
         if f is succ and not lctx and not rctx:
@@ -171,7 +216,7 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted):
         nl = g.nl                          # \ denominators left for lctx[:j]
         xf = ~x.tv                         # valuations refuting x
         sf = ~succ.tv                      # valuations refuting succ
-        gr = _comp(g.tv, _truth(rctx))     # [g];[rctx]
+        gr = _comp(g.tv, _suffix(suf, rctx, len(rctx)))   # [g];[rctx]
         m = len(lctx)
         tv = _ID                           # value of the segment lctx[j:]
         for j in range(m, nl - 1 if restricted else -1, -1):  # smallest first
@@ -181,12 +226,14 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted):
                 continue
             if (j and not nl) or tv & xf:
                 continue
-            if _comp(_truth(lctx[:j]), gr) & sf:   # lctx[:j], g, rctx -> succ
+            # lctx[:j], g, rctx -> succ
+            if _comp(_prefix(pre, lctx, j), gr) & sf:
                 continue
             p1 = search(lctx[j:], x, memo, budget, restricted, True)
             if p1 is None:
                 continue
-            rest = _peel(lctx[:j], g, rctx, succ, memo, budget, restricted)
+            rest = _peel(lctx[:j], g, rctx, succ, memo, budget, restricted,
+                         pre, suf)
             if rest is None:
                 continue
             if conclusion is None:
@@ -199,7 +246,7 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted):
         nr = g.nr                          # / denominators left for rctx[j:]
         yf = ~y.tv                         # valuations refuting y
         sf = ~succ.tv                      # valuations refuting succ
-        lg = _comp(_truth(lctx), g.tv)     # [lctx];[g]
+        lg = _comp(_prefix(pre, lctx, len(lctx)), g.tv)   # [lctx];[g]
         m = len(rctx)
         tv = _ID                           # value of the segment rctx[:j]
         for j in range(m + 1 - nr if restricted else m + 1):  # smallest first
@@ -209,12 +256,14 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted):
                 continue
             if (j < m and not nr) or tv & yf:
                 continue
-            if _comp(lg, _truth(rctx[j:])) & sf:   # lctx, g, rctx[j:] -> succ
+            # lctx, g, rctx[j:] -> succ
+            if _comp(lg, _suffix(suf, rctx, m - j)) & sf:
                 continue
             p1 = search(rctx[:j], y, memo, budget, restricted, True)
             if p1 is None:
                 continue
-            rest = _peel(lctx, g, rctx[j:], succ, memo, budget, restricted)
+            rest = _peel(lctx, g, rctx[j:], succ, memo, budget, restricted,
+                         pre, suf)
             if rest is None:
                 continue
             if conclusion is None:

@@ -49,9 +49,13 @@ def check_derivation(d: Derivation, restricted: bool = False) -> bool:
         return False
 
 
-def assert_valid_derivation(d: Derivation, restricted: bool = False) -> None:
-    """Like :func:`check_derivation` but raises with a useful message."""
-    _check(d, restricted, set())
+def assert_valid_derivation(*ds: Derivation,
+                            restricted: bool = False) -> None:
+    """Like :func:`check_derivation` but raises with a useful message, and
+    checks every derivation given, each shared node once."""
+    seen: set = set()
+    for d in ds:
+        _check(d, restricted, seen)
 
 
 def _fail(d: Derivation, why: str) -> None:
@@ -60,7 +64,7 @@ def _fail(d: Derivation, why: str) -> None:
 
 
 def _check(d: Derivation, restricted: bool, seen: set) -> None:
-    # ids are stable here: every node is reachable from the root throughout
+    # ids are stable here: every node is reachable from a root throughout
     if id(d) in seen:
         return
     seen.add(id(d))

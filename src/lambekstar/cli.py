@@ -92,7 +92,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     record: dict = {"sequent": render_sequent(s), "verdict": result.verdict}
     lines = [result.verdict]
     if result.proved:
-        assert_valid_derivation(result.derivation, args.restrict)
+        assert_valid_derivation(result.derivation, restricted=args.restrict)
         lines.append(render_derivation(result.derivation))
         record["derivation"] = _derivation_record(result.derivation)
         if args.emit_cert:

@@ -343,7 +343,7 @@ def And(left: Formula, right: Formula) -> Formula:
 # --------------------------------------------------------------------------
 # sequents and derivations
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequent:
     antecedent: tuple[Formula, ...]
     succedent: Formula
@@ -352,7 +352,7 @@ class Sequent:
         return render_sequent(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derivation:
     """One node of a sequent derivation: a rule label, its conclusion and
     the premise subderivations in the order the rule schema lists them."""

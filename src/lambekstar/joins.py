@@ -113,13 +113,16 @@ def eliminate_product(f: Formula, *, budget: int = DEFAULT_BUDGET,
                       session: ProverSession | None = None) -> Formula:
     """A product-free formula B with ⊢ f → B, prover-verified.
 
-    Product-free inputs come back unchanged.  Denominator products are
-    removed by the (invertible) currying laws; a top-level or numerator
-    product spine is raised over a fresh core, ``d/((F₁,…,Fₖ)\\d)``, which
-    is derivable from the spine but deliberately one-directional.  The
-    verifying proof runs in ``session`` when one is given.
+    Product-free inputs come back unchanged, with no proof run.
+    Denominator products are removed by the (invertible) currying laws; a
+    top-level or numerator product spine is raised over a fresh core,
+    ``d/((F₁,…,Fₖ)\\d)``, which is derivable from the spine but
+    deliberately one-directional.  The verifying proof runs in
+    ``session`` when one is given.
     """
     _check_language(f)
+    if not f.kinds & 1 << PROD:
+        return f
     supply = VarSupply.for_formulas([f])
 
     def elim(g: Formula) -> Formula:
@@ -139,11 +142,10 @@ def eliminate_product(f: Formula, *, budget: int = DEFAULT_BUDGET,
         return Over(elim(g.left), _deproduct_equiv(g.right))
 
     out = elim(f)
-    if out is not f:
-        result = prove(Sequent((f,), out), session=session, budget=budget)
-        if not result.proved:
-            raise JoinSynthesisError(
-                f"candidate {out} is not derivable from {f}")
+    result = prove(Sequent((f,), out), session=session, budget=budget)
+    if not result.proved:
+        raise JoinSynthesisError(
+            f"candidate {out} is not derivable from {f}")
     return out
 
 
@@ -373,8 +375,7 @@ def join(p: JoinProblem, *, budget: int = DEFAULT_BUDGET,
         if witnesses is None:
             tried.append(f"{label}: {cand}")
             continue
-        for w in witnesses:
-            assert_valid_derivation(w)
+        assert_valid_derivation(*witnesses)
         cert = JoinCertificate(p, cand, tuple(witnesses))
         session.joins[key] = cert
         return cert

@@ -473,7 +473,7 @@ class ProofRecorder:
                 f" instead of {render_sequent(sequent)}")
             return
         try:
-            assert_valid_derivation(derivation, restricted)
+            assert_valid_derivation(derivation, restricted=restricted)
             self.audited += 1
         except CertificateError as e:
             self.violations.append(str(e))

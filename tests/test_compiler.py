@@ -228,6 +228,29 @@ class TestCompileUnique:
         assert got == [False, True, True, True]
 
 
+    def test_kernel_compositions_are_pinned(self, monkeypatch):
+        # every kernel state folds its antecedent's prefix and suffix
+        # values at most once, so a peel's fixed context costs no
+        # composition per candidate segment; re-folding it for each one
+        # cost 447,470 compositions here.  A warm-up compile interns every
+        # formula first, so the count is the provers' alone.
+        from lambekstar import _search, formula
+        g = to_gnf2(parse_cfg("@start S\nS -> A S b | b\nA -> a A | "))
+        compile_unique(g)
+        calls = []
+        comp = formula._comp
+
+        def counted(r, s):
+            calls.append(None)
+            return comp(r, s)
+        monkeypatch.setattr(formula, "_comp", counted)
+        monkeypatch.setattr(_search, "_comp", counted)
+        session = ProverSession()
+        compile_unique(g, session=session)
+        assert session.steps_used == 18_329
+        assert len(calls) == 237_054
+
+
 class TestGaifman:
     def test_g3_lexicon_shape(self, g3_gnf):
         lg = compile_gaifman(g3_gnf)

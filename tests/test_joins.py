@@ -61,6 +61,14 @@ class TestEliminateProduct:
             f = random_division_pure(rng, rng.randint(1, 9))
             assert eliminate_product(f) is f
 
+    def test_product_free_input_runs_no_proof(self, rng):
+        session = ProverSession()
+        for _ in range(20):
+            f = random_division_pure(rng, rng.randint(1, 9))
+            assert eliminate_product(f, session=session) is f
+        assert session.steps_used == 0
+        assert not session.memo
+
     def test_denominator_products_curry_away_equivalently(self):
         cases = [
             ("r/(p.q)", "(r/q)/p"),

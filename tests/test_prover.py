@@ -469,6 +469,32 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="axiom antecedent"):
             assert_valid_derivation(bad)
 
+    def test_checker_shares_nodes_within_one_call_only(self, monkeypatch):
+        from lambekstar import checker
+        axioms = []
+        check_ax = checker._CHECKERS["Ax"]
+
+        def counted(d):
+            axioms.append(d)
+            check_ax(d)
+        monkeypatch.setitem(checker._CHECKERS, "Ax", counted)
+        good = self.shared_tower(Derivation("Ax", Sequent((p,), p)), 4)
+        above = self.shared_tower(good, 1)
+        assert_valid_derivation(good, above, good)
+        assert len(axioms) == 1
+        # nothing is kept from one call to the next
+        assert_valid_derivation(above)
+        assert len(axioms) == 2
+        # a bad node reachable only from the second derivation, over
+        # premises the first one already had checked, is still rejected
+        c = good.conclusion
+        bad = Derivation("->.", Sequent(c.antecedent, Prod(c.succedent,
+                                                           c.succedent)),
+                         (good, good))
+        with pytest.raises(CertificateError, match="concatenate"):
+            assert_valid_derivation(good, bad)
+        assert len(axioms) == 3
+
     def test_checker_restricted_rejects_empty_antecedents(self):
         d = prove(parse_sequent("-> p/p")).derivation
         assert check_derivation(d)

@@ -16,9 +16,12 @@ fresh checkouts without bytecode caches.  Then, in each checkout:
 * ``perfbench/run.py --trace 1`` once per workload (seed 1), for the
   per-layer metrics;
 * ``refute_alt2`` on the lifted universal grammar
-  ``total_plus_to_alt2(S -> a S | b S | a | b)`` to lengths 4 and 6, in a
-  fresh process and session, compile included, two rounds alternating
+  ``total_plus_to_alt2(S -> a S | b S | a | b)`` to lengths 4, 6 and 8, in
+  a fresh process and session, compile included, two rounds alternating
   sides;
+* ``compile_unique`` of the grammar ``S -> A S b | b; A -> a A | ``
+  (unique types of 1,879 and 3,379 nodes), once per side, in a fresh
+  process;
 * ``equivalence_harness(g, "safiullin", 3)`` on the grammar
   ``random_epsfree_grammar(random.Random(14), max_nonterminals=3,
   max_rules=5)`` of ``tests/helpers.py``, once per side, in a fresh
@@ -51,7 +54,7 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-BOUNDS = (4, 6)
+BOUNDS = (4, 6, 8)
 ROUNDS = 2
 SEEDS = 10
 
@@ -70,6 +73,21 @@ print(json.dumps({{
     "memo_entries": len(session.memo),
     "peak_rss_mb": round(resource.getrusage(
         resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}}))
+"""
+
+COMPILE = """
+import json, resource, time
+from lambekstar import ProverSession, compile_unique, parse_cfg, to_gnf2
+g = to_gnf2(parse_cfg("@start S\\nS -> A S b | b\\nA -> a A | "))
+session = ProverSession()
+t0 = time.perf_counter()
+compile_unique(g, session=session)
+seconds = time.perf_counter() - t0
+print(json.dumps({
+    "seconds": round(seconds, 3), "steps": session.steps_used,
+    "memo_entries": len(session.memo),
+    "peak_rss_mb": round(resource.getrusage(
+        resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))
 """
 
 EQUIVALENCE = """
@@ -231,6 +249,11 @@ def main() -> int:
                     ", bound) in a fresh process and session, compile "
                     f"included; {ROUNDS} rounds, alternating sides",
             "runs": []},
+        "compile_large_grammar": {
+            "what": "compile_unique(to_gnf2(S -> A S b | b; A -> a A | )) "
+                    "in a fresh process and session; one run per side, "
+                    "parent first",
+            "runs": []},
         "equivalence_harness_large_grammar": {
             "what": "equivalence_harness(random_epsfree_grammar("
                     "random.Random(14), max_nonterminals=3, max_rules=5), "
@@ -278,6 +301,10 @@ def main() -> int:
                     doc["universal_grammar"]["runs"].append(
                         {**res, "side": side})
                     save()
+        for side in SIDES:
+            res = snippet(trees[side], COMPILE)
+            doc["compile_large_grammar"]["runs"].append({**res, "side": side})
+            save()
         for side in SIDES:
             res = snippet(trees[side], EQUIVALENCE)
             doc["equivalence_harness_large_grammar"]["runs"].append(
