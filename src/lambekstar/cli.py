@@ -27,10 +27,10 @@ from .cfg import (Grammar, GrammarError, cyk_member, parse_cfg, render_cfg,
 from .checker import assert_valid_derivation
 from .compiler import (CompiledGrammar, accepts, compile_gaifman,
                        compile_unique)
-from .formula import (BudgetError, Derivation, FragmentError, LambekError,
-                      ParseError, Sequent, fg_interp, parse_formula,
-                      parse_sequent, render_derivation, render_formula,
-                      render_sequent, sequence_image)
+from .formula import (BudgetError, Derivation, LambekError, Sequent,
+                      fg_interp, parse_formula, parse_sequent,
+                      render_derivation, render_formula, render_sequent,
+                      sequence_image)
 from .prover import DEFAULT_BUDGET, prove
 from .reductions import conjecture_probe, equivalence_harness, refute_alt2
 from .stars import check_approximations, check_instances, instances
@@ -54,10 +54,18 @@ def _derivation_record(d: Derivation) -> dict:
 
 
 def _read_grammar(path: str) -> Grammar:
-    if path == "-":
-        return parse_cfg(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
-        return parse_cfg(fh.read())
+    """The grammar in a UTF-8 file, or on stdin for ``-``."""
+    try:
+        if path == "-":
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as e:
+        name = "stdin" if path == "-" else path
+        raise GrammarError(f"{name} is not UTF-8: {e.reason} at byte "
+                           f"{e.start}") from None
+    return parse_cfg(text)
 
 
 def _split_word(raw: str, terminals: Sequence[str]) -> tuple[str, ...]:
@@ -424,13 +432,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RecursionError:
         print("error: input too deep or too long", file=sys.stderr)
         return 2
-    except (ParseError, FragmentError, GrammarError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except LambekError as e:
+    except (LambekError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

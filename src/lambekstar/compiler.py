@@ -167,11 +167,11 @@ def compile_unique(g: GnfCfg, *, budget: int = DEFAULT_BUDGET,
     """Unique-type-assignment lexicon for a binary-GNF grammar.
 
     Every join-verification ``prove`` runs in ``session`` (a fresh one when
-    it is None), which must be unrestricted, and the session keeps the
-    join certificates, so a repeat compile in it proves nothing.  Passing
-    the session that will then decide words with the lexicon lets those
-    proofs reuse the states join verification has already decided; the
-    lexicon is the same either way.
+    it is None), which must be unrestricted; its memo makes a repeat
+    compile in it expand no new state and return an equal lexicon.
+    Passing the session that will then decide words with the lexicon lets
+    those proofs reuse the states join verification has already decided;
+    the lexicon is the same either way.
     """
     session = _session_for(session, False)
     if not g.rules:
@@ -234,14 +234,13 @@ def accepts(grammar: CompiledGrammar | LambekGrammar, w: Sequence[str], *,
     many words shares the prover's memo table, which matters for the large
     unique-assignment formulas.
     """
+    session = _session_for(session, False)
     word = tuple(w)
     if not word:
         return False
     for letter in word:
         if letter not in grammar.lexicon:
             raise GrammarError(f"letter {letter!r} is not in the lexicon")
-    if session is None:
-        session = ProverSession()
     if isinstance(grammar, CompiledGrammar):
         choices = [(grammar.lexicon[letter],) for letter in word]
     else:

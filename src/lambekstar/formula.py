@@ -583,11 +583,17 @@ def division_pure(f: Formula) -> bool:
     return not f.kinds & ~(1 << ATOM | 1 << UNDER | 1 << OVER)
 
 
-def atoms_of(f: Formula) -> frozenset[str]:
+def atoms_of(*roots: Formula) -> frozenset[str]:
+    """The atom names of all ``roots``, visiting each distinct (hash-consed)
+    node once, so formulas that share structure cost their DAG size."""
     out: set[str] = set()
-    stack = [f]
+    seen: set[Formula] = set()
+    stack = list(roots)
     while stack:
         g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
         if g.kind == ATOM:
             out.add(g.name)
         else:
@@ -668,10 +674,7 @@ class VarSupply:
 
     @classmethod
     def for_formulas(cls, formulas: Iterable[Formula]) -> "VarSupply":
-        used: set[str] = set()
-        for f in formulas:
-            used |= atoms_of(f)
-        return cls(used)
+        return cls(atoms_of(*formulas))
 
     def fresh(self, base: str) -> str:
         if base not in self.used:

@@ -22,10 +22,9 @@ Strategies, in order:
 
 Every ``prove`` a join makes, its candidate builders' included, runs in
 one :class:`ProverSession`, the caller's or a fresh one, so no state is
-searched twice within it.  The session also keeps each certificate by its
-problem, so an identical problem in the same session returns the identical
-certificate without a proof; a fresh session computes it again, with the
-same result.
+searched twice within it: a repeat of a problem in the same session
+expands no new state and returns an equal certificate, and a fresh session
+computes the same one again.
 """
 
 from __future__ import annotations
@@ -200,7 +199,7 @@ def _match_slot(f: Formula) -> tuple[Formula, tuple[Formula, ...]] | None:
 
 
 def _optional_candidate(f: Formula,
-                        session: ProverSession | None) -> Formula | None:
+                        session: ProverSession) -> Formula | None:
     try:
         if prove(Sequent((), f), session=session, budget=20_000).proved:
             return f
@@ -233,8 +232,9 @@ def optionalize(f: Formula, *, budget: int = DEFAULT_BUDGET,
     Recognised shapes: anything already derivable from Λ, sentinels
     (r/(p\\r))/(q/(p\\q)), gates (z/z)/S over a sentinel, and slot formulas
     x/((W₁,…,W_T)\\x) whose every Wᵢ is itself optionalizable.  The
-    verifying proofs run in ``session`` when one is given.
+    verifying proofs run in ``session`` (a fresh one when it is None).
     """
+    session = _session_for(session, False)
     cand = _optional_candidate(f, session)
     if cand is None:
         raise JoinSynthesisError(f"no optional form known for {f}")
@@ -335,17 +335,14 @@ def join(p: JoinProblem, *, budget: int = DEFAULT_BUDGET,
     """Compute a verified join for the family, or fail with diagnostics.
 
     Every ``prove`` of the call runs in ``session`` (a fresh one when it is
-    None), which must be unrestricted and keeps the certificate for a
-    repeat of the same problem; ``budget`` bounds each witness
+    None), which must be unrestricted; its memo makes a repeat of the same
+    problem expand no new state.  ``budget`` bounds each witness
     verification.  Raises :class:`JoinPreconditionError` when the inputs
     do not share one free-group image (then no join exists at all), and
     :class:`JoinSynthesisError` when every strategy's candidate fails
     prover verification.
     """
     session = _session_for(session, False)
-    key = (p.inputs, p.variable_budget)
-    if key in session.joins:
-        return session.joins[key]
     images = {sequence_image(row) for row in p.inputs}
     if len(images) > 1:
         raise JoinPreconditionError(
@@ -376,8 +373,6 @@ def join(p: JoinProblem, *, budget: int = DEFAULT_BUDGET,
             tried.append(f"{label}: {cand}")
             continue
         assert_valid_derivation(*witnesses)
-        cert = JoinCertificate(p, cand, tuple(witnesses))
-        session.joins[key] = cert
-        return cert
+        return JoinCertificate(p, cand, tuple(witnesses))
     raise JoinSynthesisError(
         "no candidate verified; tried:\n  " + "\n  ".join(tried or ["(none)"]))

@@ -61,21 +61,22 @@ class ProofResult:
 
 
 class ProverSession:
-    """Shared memo across prove() calls (one restriction mode per session),
-    and the join certificates made in it (see :func:`lambekstar.joins.join`),
-    kept by join problem."""
+    """One restriction mode, the memo that every prove() call in the session
+    shares, and the expansion steps those calls have spent.  The memo holds
+    only finished results, so a query repeated in a session expands no new
+    state."""
 
     def __init__(self, restricted: bool = False):
         self.restricted = restricted
         self.memo: dict = {}
-        self.joins: dict = {}
         self.steps_used = 0
 
 
 def _session_for(session: ProverSession | None,
                  restricted: bool) -> ProverSession:
-    """``session``, or a fresh one when it is None; a session made for the
-    other restriction mode is refused."""
+    """The session of every public entry point that takes one: ``session``,
+    or a fresh one when it is None.  A session made for the other
+    restriction mode is refused with ``ValueError``."""
     if session is None:
         return ProverSession(restricted)
     if session.restricted != restricted:

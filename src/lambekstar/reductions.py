@@ -35,7 +35,7 @@ from .compiler import (CompiledGrammar, LambekGrammar, accepts,
 from .formula import (Atom, And, Formula, LambekError, Or, Over, Plus, Prod,
                       Sequent, Star, VarSupply, curried_division,
                       render_sequent)
-from .prover import DEFAULT_BUDGET, ProverSession, prove
+from .prover import DEFAULT_BUDGET, ProverSession, _session_for, prove
 
 __all__ = [
     "RefutationWitness", "EquivalenceReport", "ProbeReport",
@@ -106,13 +106,12 @@ def refute_alt2(g: Grammar, word_len_bound: int = 6, *,
     rests on.  Returns the first jointly-refuted word as a witness, or
     None when every bounded alternation word is generated.
     """
+    session = _session_for(session, False)
     letters = sorted(g.terminals)
     if len(letters) != 2:
         raise GrammarError(
             f"ALT2 needs a two-letter alphabet, got {{{', '.join(letters)}}}")
     a1, a2 = letters
-    if session is None:
-        session = ProverSession()
     cg = compile_unique(to_gnf2(g), session=session)
     goal = cg.goal
     for word in _alternation_words(a1, a2, word_len_bound):

@@ -33,7 +33,8 @@ from .formula import (
     Derivation, Formula, FragmentError, LambekError, Or, Prod, Sequent,
     Star, Unit, _rebuild, division_pure, render_formula, render_sequent,
 )
-from .prover import DEFAULT_BUDGET, ProverSession, normalize_plus, prove
+from .prover import (DEFAULT_BUDGET, ProverSession, _session_for,
+                     normalize_plus, prove)
 
 __all__ = [
     "ApproximationOutcome", "InstanceOutcome",
@@ -116,8 +117,7 @@ def check_approximations(s: Sequent, up_to: int = 3, *,
     ``Refuted(n)`` (least such n <= up_to) certifies that ``s`` is
     underivable in the full calculus; ``Unrefuted`` decides nothing.
     """
-    if session is None:
-        session = ProverSession()
+    session = _session_for(session, False)
     for n in range(up_to + 1):
         approx = approximate(s, n)
         if not prove(approx, session=session, budget=budget).proved:
@@ -215,10 +215,9 @@ def check_instances(s: Sequent, bound: int = 3, *,
     that ``s`` is underivable; ``Unrefuted`` reports only that the bounded
     family survived.
     """
+    session = _session_for(session, False)
     if not is_star_external(s):
         raise FragmentError(f"{render_sequent(s)} is not *-external")
-    if session is None:
-        session = ProverSession()
     per_formula = [instances(f, bound) for f in s.antecedent]
     combos = sorted(
         {tuple(itertools.chain.from_iterable(pick))

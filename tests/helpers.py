@@ -12,8 +12,8 @@ import itertools
 import random
 from collections import deque
 
-from lambekstar import (Atom, Formula, Grammar, Over, Plus, Prod, Sequent,
-                        Star, Under)
+from lambekstar import (And, Atom, Formula, Grammar, Or, Over, Plus, Prod,
+                        Sequent, Star, Under, Unit)
 from lambekstar.formula import OVER, STAR, UNDER
 
 ATOM_NAMES = ("p", "q", "r")
@@ -61,6 +61,43 @@ def random_star_external(rng: random.Random, size: int,
             random_star_external(rng, size - 1 - left_size, atoms,
                                  star_depth))
     return random_division_pure(rng, size, atoms)
+
+
+def random_full(rng: random.Random, size: int, positive: bool,
+                atoms: tuple[str, ...] = ATOM_NAMES) -> Formula:
+    """Random formula over the whole vocabulary (``\\ / . 1 | & ^* ^+``)
+    of about ``size`` nodes, with iteration only in positive position: the
+    denominator of a division flips polarity, every other argument keeps
+    it.  ``positive`` is the polarity of the formula itself."""
+    if size <= 1:
+        return Unit() if rng.random() < 0.1 else Atom(rng.choice(atoms))
+    if positive and rng.random() < 0.15:
+        inner = random_full(rng, size - 1, True, atoms)
+        return Star(inner) if rng.random() < 0.7 else Plus(inner)
+    left_size = rng.randint(1, max(1, size - 2))
+    right_size = max(1, size - 1 - left_size)
+    kind = rng.choice("\\/.|&")
+    if kind == "\\":
+        return Under(random_full(rng, left_size, not positive, atoms),
+                     random_full(rng, right_size, positive, atoms))
+    if kind == "/":
+        return Over(random_full(rng, left_size, positive, atoms),
+                    random_full(rng, right_size, not positive, atoms))
+    make = {".": Prod, "|": Or, "&": And}[kind]
+    return make(random_full(rng, left_size, positive, atoms),
+                random_full(rng, right_size, positive, atoms))
+
+
+def random_full_sequent(rng: random.Random, max_size: int,
+                        max_antecedent: int = 3,
+                        atoms: tuple[str, ...] = ATOM_NAMES) -> Sequent:
+    """Random sequent over the whole vocabulary whose every ``^*`` and
+    ``^+`` is in positive position, so the provers can search it."""
+    n_ante = rng.randint(0, max_antecedent)
+    parts = [rng.randint(1, max(1, max_size // (n_ante + 1)))
+             for _ in range(n_ante + 1)]
+    ante = tuple(random_full(rng, s, False, atoms) for s in parts[:-1])
+    return Sequent(ante, random_full(rng, parts[-1], True, atoms))
 
 
 def star_polarities(f: Formula, positive: bool = True) -> list[bool]:

@@ -19,12 +19,14 @@ AB_GRAMMAR = "S -> a B\nB -> b\n"
 ANBN_GRAMMAR = "S -> a S B\nS -> a B\nB -> b\n"
 
 
-def run_cli(*args: str, stdin: str | None = None):
+def run_cli(*args: str, stdin: str | bytes | None = None):
+    """Run the CLI; output is text unless ``stdin`` is given as bytes."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "lambekstar.cli", *args],
-        input=stdin, capture_output=True, text=True, env=env, timeout=120)
+        [sys.executable, "-m", "lambekstar.cli", *args], input=stdin,
+        capture_output=True, text=not isinstance(stdin, bytes), env=env,
+        timeout=120)
 
 
 @pytest.fixture()
@@ -154,6 +156,15 @@ class TestGrammarVerbs:
     def test_missing_grammar_file_exits_two(self):
         r = run_cli("member", "/nonexistent/g.cfg", "a")
         assert r.returncode == 2
+
+    def test_grammar_that_is_not_utf8_exits_two(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"S -> a\xff\n")
+        for path, data in ((str(bad), b""), ("-", bad.read_bytes())):
+            r = run_cli("member", path, "a", stdin=data)
+            assert r.returncode == 2, path
+            assert r.stderr.startswith(b"error: ") and b"UTF-8" in r.stderr
+            assert b"Traceback" not in r.stderr
 
     def test_compile_gaifman_lists_types(self, anbn_file):
         r = run_cli("compile", "--method", "gaifman", anbn_file)

@@ -198,18 +198,23 @@ class TestCompileUnique:
         with pytest.raises(ValueError):
             compile_unique(g3_gnf, session=ProverSession(restricted=True))
 
-    def test_join_certificates_live_in_the_session(self, g3_gnf):
-        # a repeat compile in one session proves nothing and returns the
-        # same certificates; a fresh session compiles cold, whatever the
-        # process compiled before
+    def test_repeat_compile_in_a_session_expands_no_state(self, g3_gnf):
+        # the session's memo answers every proof of a repeat compile, which
+        # returns an equal lexicon with equal join certificates; a fresh
+        # session compiles cold, whatever the process compiled before
+        def joins(cg):
+            return [(c.join, [render_derivation(w) for w in c.witnesses])
+                    for a in sorted(cg.parts)
+                    for c in (cg.parts[a].f, cg.parts[a].g)]
+
         first = ProverSession()
         cg = compile_unique(g3_gnf, session=first)
         used = first.steps_used
         assert used > 0
         again = compile_unique(g3_gnf, session=first)
         assert first.steps_used == used
-        assert all(again.parts[a].f is cg.parts[a].f
-                   and again.parts[a].g is cg.parts[a].g for a in cg.parts)
+        assert again.lexicon == cg.lexicon and again.goal == cg.goal
+        assert joins(again) == joins(cg)
         fresh = ProverSession()
         compile_unique(g3_gnf, session=fresh)
         assert fresh.steps_used == used

@@ -277,6 +277,14 @@ class TestHelpers:
 
     def test_atoms_of(self):
         assert atoms_of(sentinel("p", "q", "r")) == {"p", "q", "r"}
+        # 61 distinct nodes that unfold to a tree of 2**61 - 1 nodes, so
+        # only a walk that visits each shared node once returns
+        f = p
+        for _ in range(60):
+            f = Under(f, f)
+        assert f.size == 2 ** 61 - 1
+        assert atoms_of(f) == {"p"}
+        assert atoms_of(f, Under(q, f)) == {"p", "q"}
 
     def test_curried_division_inverts(self, rng):
         for _ in range(30):

@@ -23,6 +23,7 @@ from lambekstar import (
     parse_formula,
     product_fold,
     prove,
+    render_derivation,
     sentinel,
     sequence_image,
 )
@@ -75,6 +76,9 @@ class TestEliminateProduct:
             ("(p.q)\\r", "q\\(p\\r)"),
             ("(p.q.r)\\p", "r\\(q\\(p\\p))"),
             ("q/(p.(q\\r))", "(q/(q\\r))/p"),
+            # one denominator deeper, left to the denominator's rewrite
+            ("((p.q)\\r)\\s", "(q\\(p\\r))\\s"),
+            ("s/(r/(p.q))", "s/((r/q)/p)"),
         ]
         for src, expected in cases:
             f, g = parse_formula(src), parse_formula(expected)
@@ -187,6 +191,17 @@ class TestJoinBasics:
             join(fam)
         assert "tried" in str(exc.value)
 
+    def test_rows_with_no_common_master_join_as_a_raised_product(self):
+        # neither row embeds in the other, so no menu exists; the product
+        # of both rows, raised over a fresh core, verifies because each row
+        # is derivable from the empty sequence
+        rows = ((Under(P, P),), (Under(Q, Q),))
+        cert = join(JoinProblem(rows))
+        assert cert.join == parse_formula("d/((q\\q)\\(p\\p)\\d)")
+        for row, w in zip(rows, cert.witnesses):
+            assert w.conclusion == Sequent(row, cert.join)
+            assert_valid_derivation(w)
+
 
 class TestMenuJoins:
     @staticmethod
@@ -222,14 +237,22 @@ class TestMenuJoins:
         cert = join(JoinProblem(rows, variable_budget=("core",)))
         assert cert.join.left == Atom("core")
 
-    def test_join_results_are_cached_by_problem(self):
-        # cached in the session: a repeat proves nothing and returns the
-        # same certificate, and a fresh session finds the same join again
+    def test_repeat_join_in_a_session_expands_no_state(self):
+        # the session's memo answers every proof of a repeat, which returns
+        # an equal certificate; a fresh session spends the same steps on
+        # the same join
         _, e = self._staircase()
         rows = (e, e[2:], e[4:])
+
+        def rendered(cert):
+            return (cert.join, [render_derivation(w) for w in cert.witnesses])
         session = ProverSession()
         first = join(JoinProblem(rows), session=session)
         used = session.steps_used
         second = join(JoinProblem(rows), session=session)
-        assert second is first and session.steps_used == used
-        assert join(JoinProblem(rows)).join is first.join
+        assert session.steps_used == used
+        assert rendered(second) == rendered(first)
+        fresh = ProverSession()
+        assert rendered(join(JoinProblem(rows), session=fresh)) \
+            == rendered(first)
+        assert fresh.steps_used == used

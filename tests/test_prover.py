@@ -17,7 +17,8 @@ from lambekstar import (And, Atom, BudgetError, CertificateError,
 from lambekstar.checker import assert_valid_derivation
 from lambekstar.formula import Derivation, _truth
 
-from helpers import random_division_pure, random_division_sequent
+from helpers import (random_division_pure, random_division_sequent,
+                     random_full_sequent)
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 S = sentinel("p", "q", "r")
@@ -168,6 +169,29 @@ class TestEngines:
             s = random_division_sequent(rng, 8)
             assert (prove(s, restricted=True).proved
                     == naive_prove(s, restricted=True))
+
+    def test_general_engine_matches_oracle_on_full_vocabulary(self, rng):
+        # the general engine against the oracle on sequents with ., 1, |,
+        # & and positive ^*/^+, in both modes; every Proved is checked
+        rules: set[str] = set()
+        decided = 0
+        for _ in range(3000):
+            s = random_full_sequent(rng, 9, atoms=("p", "q"))
+            for restricted in (False, True):
+                try:
+                    got = prove(s, restricted=restricted)
+                except FragmentError:
+                    continue
+                decided += 1
+                assert got.proved == naive_prove(s, restricted=restricted), \
+                    (render_sequent(s), restricted)
+                if got.proved:
+                    assert check_derivation(got.derivation,
+                                            restricted=restricted)
+                    rules |= rules_of(got.derivation)
+        assert decided > 4000
+        # the sample proves through every rule of the vocabulary
+        assert KNOWN_RULES - rules <= {f"->*_{k}" for k in range(4, 64)}
 
     def test_restriction_never_proves_more(self, rng):
         for _ in range(60):

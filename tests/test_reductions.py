@@ -17,8 +17,10 @@ from lambekstar import (
     ProverSession,
     Sequent,
     Star,
+    accepts,
     alt2_sequent,
     check_approximations,
+    check_instances,
     compile_unique,
     conjecture_probe,
     cyk_member,
@@ -145,6 +147,22 @@ class TestRefuteAlt2:
         for s, d in proved:
             assert d.conclusion == s
             assert check_derivation(d)
+
+    def test_entry_points_refuse_a_restricted_session(self):
+        # each entry point resolves its session before any work, so a
+        # session made for Lambek's restriction is refused even where no
+        # proof would run (the empty word)
+        g = parse_cfg(AB_GRAMMAR)
+        cg = compile_unique(to_gnf2(g))
+        calls = [
+            lambda s: refute_alt2(g, 3, session=s),
+            lambda s: accepts(cg, (), session=s),
+            lambda s: check_approximations(Sequent((P,), P), session=s),
+            lambda s: check_instances(Sequent((P,), P), session=s),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call(ProverSession(restricted=True))
 
     def test_witness_agrees_with_direct_enumeration(self):
         for text in (AB_GRAMMAR, "S -> a\nS -> b b",

@@ -13,8 +13,8 @@ fresh checkouts without bytecode caches.  Then, in each checkout:
 * ``perfbench/run.py --trace 0`` for every workload of ``BENCHMARK.json``
   and seeds 1..10, odd seeds running the parent first and even
   seeds the change first, with the run length of ``BENCHMARK.json``;
-* ``perfbench/run.py --trace 1`` once per workload (seed 1), for the
-  per-layer metrics;
+* ``perfbench/run.py --trace 1`` for every workload and seeds 1..10, in
+  the same alternating order, for the per-layer metrics;
 * ``refute_alt2`` on the lifted universal grammar
   ``total_plus_to_alt2(S -> a S | b S | a | b)`` to lengths 4, 6 and 8, in
   a fresh process and session, compile included, two rounds alternating
@@ -33,7 +33,10 @@ them.  The file is rewritten after every run, so an interrupted session
 leaves what it measured.  Summaries give, per workload and end-to-end
 metric, each side's median and quartiles (inclusive method), the ratio of
 medians, the pairs the change wins (ties count for neither side), the gap
-between the medians and the parent's quartile spread.  Nothing under
+between the medians and the parent's quartile spread; the end-to-end
+metrics go in ``summary`` and the per-layer ones of the traced runs in
+``traced_summary`` (a ratio is null where the parent's median is 0, a
+layer the workload does not reach).  Nothing under
 ``perfbench/`` and no part of ``BENCHMARK.json`` is changed.
 """
 
@@ -205,7 +208,8 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             ps, cs = quartiles(par), quartiles(chg)
             out[wl][name] = {
                 "parent": ps, "change": cs,
-                "ratio_of_medians": cs["median"] / ps["median"],
+                "ratio_of_medians": (cs["median"] / ps["median"]
+                                     if ps["median"] else None),
                 "pairs": len(pairs), "change_better_in": wins,
                 "median_gap": abs(cs["median"] - ps["median"]),
                 "parent_quartile_spread": ps["q3"] - ps["q1"]}
@@ -242,8 +246,11 @@ def main() -> int:
                    "without bytecode caches",
         "run_order": f"seeds 1-{SEEDS}; for each seed "
                      f"{' then '.join(workloads)}; odd seeds run the parent "
-                     "first, even seeds the change first (position_in_pair)",
+                     "first, even seeds the change first (position_in_pair); "
+                     "then the same order again with --trace 1 "
+                     "(traced_cycles)",
         "runs": [], "summary": {}, "traced_cycles": [],
+        "traced_summary": {},
         "universal_grammar": {
             "what": "refute_alt2(total_plus_to_alt2(S -> a S | b S | a | b)"
                     ", bound) in a fresh process and session, compile "
@@ -268,7 +275,21 @@ def main() -> int:
 
     def save() -> None:
         doc["summary"] = summarise(doc["runs"], bench["end_to_end"])
+        doc["traced_summary"] = summarise(doc["traced_cycles"],
+                                          bench["per_layer"])
         dest.write_text(json.dumps(doc, indent=1) + "\n")
+
+    def paired_runs(trace: int, into: list) -> None:
+        for seed in range(1, SEEDS + 1):
+            order = SIDES if seed % 2 else SIDES[::-1]
+            for wl in workloads:
+                for pos, side in enumerate(order, 1):
+                    res = perfbench(trees[side], wl, seed, seconds, trace)
+                    into.append({
+                        "side": side, "workload": wl, "seed": seed,
+                        "position_in_pair": pos, "finished": stamp(),
+                        "result": res})
+                    save()
 
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         trees = {side: pathlib.Path(tmp) / side for side in SIDES}
@@ -277,23 +298,8 @@ def main() -> int:
         export_parent(args.parent, trees["parent"])
         export_worktree(trees["change"])
 
-        for seed in range(1, SEEDS + 1):
-            order = SIDES if seed % 2 else SIDES[::-1]
-            for wl in workloads:
-                for pos, side in enumerate(order, 1):
-                    res = perfbench(trees[side], wl, seed, seconds, 0)
-                    doc["runs"].append({
-                        "side": side, "workload": wl, "seed": seed,
-                        "position_in_pair": pos, "finished": stamp(),
-                        "result": res})
-                    save()
-        for wl in workloads:
-            for side in SIDES:
-                res = perfbench(trees[side], wl, 1, seconds, 1)
-                doc["traced_cycles"].append({"side": side, "workload": wl,
-                                             "seed": 1, "trace": 1,
-                                             "result": res})
-                save()
+        paired_runs(0, doc["runs"])
+        paired_runs(1, doc["traced_cycles"])
         for rnd in range(ROUNDS):
             for side in (SIDES if rnd % 2 == 0 else SIDES[::-1]):
                 for bound in BOUNDS:
