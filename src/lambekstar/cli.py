@@ -430,6 +430,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"budget exhausted: {e} (raise --budget)", file=sys.stderr)
         return 3
     except RecursionError:
+        # the parser keeps explicit stacks; only the renderer, the checker
+        # and the kernel still recurse, once per nesting level or formula
         print("error: input too deep or too long", file=sys.stderr)
         return 2
     except (LambekError, OSError) as e:

@@ -25,7 +25,10 @@ Concrete syntax, loosest to tightest::
 
 so ``a\\q/b`` is ``a\\(q/b)`` and ``x2\\x1\\q/y2/y1`` is the curried division
 with left denominators x1 (innermost), x2 and right denominators y1
-(outermost), y2 — see :func:`curried_division`.
+(outermost), y2 — see :func:`curried_division`.  The text is split into
+tokens by one regex scan, and the grammar is parsed by one
+operator-precedence loop with explicit operand and operator stacks, so the
+parser has no depth limit.
 """
 
 from __future__ import annotations
@@ -235,7 +238,8 @@ class Formula:
 
 _table: dict = {}
 
-_ATOM_RE = re.compile(r"[a-z][a-z0-9_]*(?:#[0-9]+)?\Z")
+_ATOM = r"[a-z][a-z0-9_]*(?:#[0-9]+)?"
+_ATOM_RE = re.compile(_ATOM + r"\Z")
 
 
 def _intern(kind: int, name: str | None, left: Formula | None,
@@ -412,113 +416,99 @@ def render_sequent(s: Sequent) -> str:
 
 
 # --------------------------------------------------------------------------
-# parsing
+# parsing: one regex scan into tokens, then one operator-precedence loop
+# with an operand stack and an operator stack (Dijkstra's shunting-yard),
+# so nesting depth and formula length are bounded by memory alone
 
-_TOKEN_RE = re.compile(
-    r"\s*(->|\^\*|\^\+|[\\/|&.(),]|1|[a-z][a-z0-9_]*(?:#[0-9]+)?)"
-)
+_TOKEN = r"->|\^\*|\^\+|[\\/|&.(),]|1|" + _ATOM
+_TOKEN_RE = re.compile(_TOKEN)
+_PREFIX_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*")   # the part that tokenizes
+
+# token -> (precedence, kind, right-assoc), higher binding tighter; a new
+# operator first applies the pending ones of higher precedence, and of
+# equal precedence when it is left-assoc
+_BINARY = {"\\": (0, UNDER, True), "/": (1, OVER, False),
+           "|": (2, OR, True), "&": (3, AND, True), ".": (4, PROD, False)}
+_POSTFIX = {"^*": STAR, "^+": PLUS}
+_OPEN = (-1, None, False)       # '(' and the bottom of the operator stack
+_NOT_OPERANDS = frozenset(("->", ")", ",", *_POSTFIX, *_BINARY))
 
 
-def _tokenize(text: str) -> list[str]:
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected input at: {rest[:20]!r}")
-        toks.append(m.group(1))
-        pos = m.end()
+def _tokens(text: str) -> list[str]:
+    toks = _TOKEN_RE.findall(text)
+    # the scan skips what it cannot match: an input tokenizes when the
+    # tokens cover every character that is not whitespace
+    if len("".join(toks)) != len("".join(text.split())):
+        rest = text[_PREFIX_RE.match(text).end():].lstrip()
+        raise ParseError(f"unexpected input at: {rest[:20]!r}")
     return toks
 
 
-class _Parser:
-    def __init__(self, toks: list[str]):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self) -> str:
-        t = self.peek()
-        if t is None:
+def _formula(toks: list[str], i: int, end: int) -> tuple[Formula, int]:
+    """Parse the longest formula that starts at ``toks[i]`` and ends
+    before ``toks[end]``; return it and the index of the token after it."""
+    vals: list[Formula] = []
+    ops = [_OPEN]
+    depth = 0
+    while True:
+        # an operand: any '(' first, then an atom or '1'
+        if i == end:
             raise ParseError("unexpected end of input")
-        self.i += 1
-        return t
-
-    def expect(self, tok: str) -> None:
-        t = self.next()
-        if t != tok:
-            raise ParseError(f"expected {tok!r}, got {t!r}")
-
-    def div(self) -> Formula:
-        left = self.ov()
-        if self.peek() == "\\":
-            self.next()
-            return Under(left, self.div())
-        return left
-
-    def ov(self) -> Formula:
-        f = self.orl()
-        while self.peek() == "/":
-            self.next()
-            f = Over(f, self.orl())
-        return f
-
-    def orl(self) -> Formula:
-        left = self.andl()
-        if self.peek() == "|":
-            self.next()
-            return Or(left, self.orl())
-        return left
-
-    def andl(self) -> Formula:
-        left = self.prodl()
-        if self.peek() == "&":
-            self.next()
-            return And(left, self.andl())
-        return left
-
-    def prodl(self) -> Formula:
-        f = self.post()
-        while self.peek() == ".":
-            self.next()
-            f = Prod(f, self.post())
-        return f
-
-    def post(self) -> Formula:
-        f = self.prim()
-        while self.peek() in ("^*", "^+"):
-            t = self.next()
-            f = Star(f) if t == "^*" else Plus(f)
-        return f
-
-    def prim(self) -> Formula:
-        t = self.next()
+        t = toks[i]
+        i += 1
         if t == "(":
-            f = self.div()
-            self.expect(")")
-            return f
+            ops.append(_OPEN)
+            depth += 1
+            continue
         if t == "1":
-            return Unit()
-        if _ATOM_RE.match(t):
-            return Atom(t)
-        raise ParseError(f"unexpected token {t!r}")
+            vals.append(_intern(UNIT, None, None, None))
+        elif t in _NOT_OPERANDS:
+            raise ParseError(f"unexpected token {t!r}")
+        else:
+            vals.append(_intern(ATOM, t, None, None))
+        # then postfixes and ')' up to a binary operator or the end
+        while True:
+            t = toks[i] if i < end else None
+            kind = _POSTFIX.get(t)
+            if kind is not None:
+                vals[-1] = _intern(kind, None, vals[-1], None)
+                i += 1
+                continue
+            op = _BINARY.get(t)
+            if op is None and depth and t != ")":
+                raise ParseError("unexpected end of input" if t is None
+                                 else f"expected ')', got {t!r}")
+            # ')' and the end apply every pending operator back to '('
+            need = 0 if op is None else op[0] + op[2]
+            while ops[-1][0] >= need:
+                kind = ops.pop()[1]
+                right = vals.pop()
+                vals[-1] = _intern(kind, None, vals[-1], right)
+            if op is not None:
+                ops.append(op)
+                i += 1
+                break
+            if not depth:
+                return vals[0], i
+            ops.pop()                   # the matching '('
+            depth -= 1
+            i += 1
+
+
+def _trailing(toks: list[str], i: int, end: int) -> None:
+    if i < end:
+        raise ParseError(f"trailing input from {toks[i]!r}")
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(_tokenize(text))
-    f = p.div()
-    if p.peek() is not None:
-        raise ParseError(f"trailing input from {p.peek()!r}")
+    toks = _tokens(text)
+    f, i = _formula(toks, 0, len(toks))
+    _trailing(toks, i, len(toks))
     return f
 
 
 def parse_sequent(text: str) -> Sequent:
-    toks = _tokenize(text)
+    toks = _tokens(text)
     try:
         arrow = toks.index("->")
     except ValueError:
@@ -526,18 +516,15 @@ def parse_sequent(text: str) -> Sequent:
     if "->" in toks[arrow + 1:]:
         raise ParseError("sequent has more than one '->'")
     ant: list[Formula] = []
-    p = _Parser(toks[:arrow])
-    if p.peek() is not None:
-        ant.append(p.div())
-        while p.peek() == ",":
-            p.next()
-            ant.append(p.div())
-        if p.peek() is not None:
-            raise ParseError(f"trailing input from {p.peek()!r}")
-    q = _Parser(toks[arrow + 1:])
-    succ = q.div()
-    if q.peek() is not None:
-        raise ParseError(f"trailing input from {q.peek()!r}")
+    if arrow:
+        f, i = _formula(toks, 0, arrow)
+        ant.append(f)
+        while i < arrow and toks[i] == ",":
+            f, i = _formula(toks, i + 1, arrow)
+            ant.append(f)
+        _trailing(toks, i, arrow)
+    succ, i = _formula(toks, arrow + 1, len(toks))
+    _trailing(toks, i, len(toks))
     return Sequent(tuple(ant), succ)
 
 

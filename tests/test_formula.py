@@ -22,6 +22,7 @@ from lambekstar.formula import _comp, _truth
 from helpers import random_division_pure
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
+a, b, c = Atom("a"), Atom("b"), Atom("c")
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
@@ -63,6 +64,15 @@ FORMULA_PINS = [
     ("r/q/p", Over(Over(r, q), p)),           # left-assoc over
     ("p.q.r", Prod(Prod(p, q), r)),
     ("q/(p\\q)", type_raise("p", "q")),
+    # mixed operators, loosest to tightest: \ / | & . and the postfixes
+    ("a/b\\c", Under(Over(a, b), c)),
+    ("a\\b/c", Under(a, Over(b, c))),
+    ("p|q/r", Over(Or(p, q), r)),
+    ("p&q|r", Or(And(p, q), r)),
+    ("p|q&r", Or(p, And(q, r))),
+    ("p.q^*", Prod(p, Star(q))),
+    ("(p)^*^+", Plus(Star(p))),
+    ("p^*.q", Prod(Star(p), q)),
 ]
 
 
@@ -118,6 +128,53 @@ def test_parse_sequent_empty_antecedent():
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_sequent(bad) if "->" in bad else parse_formula(bad)
+
+
+@pytest.mark.parametrize("parse,text,message", [
+    (parse_formula, "p#", "unexpected input at: '#'"),
+    (parse_formula, "\u00e9", "unexpected input at: '\u00e9'"),
+    (parse_formula, "2", "unexpected input at: '2'"),
+    (parse_formula, "p & 12", "unexpected input at: '2'"),
+    (parse_formula, "/p", "unexpected token '/'"),
+    (parse_formula, "p\\)", "unexpected token ')'"),
+    (parse_formula, "p \\", "unexpected end of input"),
+    (parse_formula, "(p", "unexpected end of input"),
+    (parse_sequent, "p, -> q", "unexpected end of input"),
+    (parse_sequent, "(p, q) -> r", "expected ')', got ','"),
+    (parse_formula, "(p q)", "expected ')', got 'q'"),
+    (parse_sequent, "p -> q, r", "trailing input from ','"),
+    (parse_formula, "p p", "trailing input from 'p'"),
+    (parse_formula, "p)", "trailing input from ')'"),
+    (parse_formula, "p -> q", "trailing input from '->'"),
+    (parse_sequent, "p, q", "sequent needs an '->'"),
+    (parse_sequent, "p -> q -> r", "sequent has more than one '->'"),
+])
+def test_parse_error_messages(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text,grow", [
+    ("p\\" * 2000 + "p", lambda f: Under(p, f)),
+    ("p" + "/p" * 2000, lambda f: Over(f, p)),
+    ("p" + ".p" * 2000, lambda f: Prod(f, p)),
+], ids=["under", "over", "product"])
+def test_long_chains_parse(text, grow):
+    # the parser keeps explicit stacks: no recursion limit on length or depth
+    f = p
+    for _ in range(2000):
+        f = grow(f)
+    assert parse_formula(text) is f
+
+
+def test_deep_parentheses_parse():
+    assert parse_formula("(" * 3000 + "p" + ")" * 3000) is p
+
+
+def test_long_antecedent_parses():
+    text = "p, " + ", ".join(["p\\p"] * 600) + " -> p"
+    assert parse_sequent(text) == Sequent((p,) + (Under(p, p),) * 600, p)
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,9 @@ fresh checkouts without bytecode caches.  Then, in each checkout:
 * ``compile_unique`` of the grammar ``S -> A S b | b; A -> a A | ``
   (unique types of 1,879 and 3,379 nodes), once per side, in a fresh
   process;
+* ``parse_formula`` of the 2,000-deep ``p\\p\\...\\p``, once per side, in
+  a fresh process, recording its seconds or, when it raises, the
+  exception's class name (a recursive parser gives ``RecursionError``);
 * ``equivalence_harness(g, "safiullin", 3)`` on the grammar
   ``random_epsfree_grammar(random.Random(14), max_nonterminals=3,
   max_rules=5)`` of ``tests/helpers.py``, once per side, in a fresh
@@ -91,6 +94,19 @@ print(json.dumps({
     "memo_entries": len(session.memo),
     "peak_rss_mb": round(resource.getrusage(
         resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))
+"""
+
+DEEP_PARSE = """
+import json, time
+from lambekstar import parse_formula
+text = "p\\\\" * 2000 + "p"
+t0 = time.perf_counter()
+try:
+    parse_formula(text)
+    out = {"seconds": round(time.perf_counter() - t0, 3)}
+except Exception as e:
+    out = {"exception": type(e).__name__}
+print(json.dumps(out))
 """
 
 EQUIVALENCE = """
@@ -261,6 +277,11 @@ def main() -> int:
                     "in a fresh process and session; one run per side, "
                     "parent first",
             "runs": []},
+        "deep_parse": {
+            "what": "parse_formula of the 2,000-deep p\\p\\...\\p in a "
+                    "fresh process: seconds, or the exception's class name; "
+                    "one run per side, parent first",
+            "runs": []},
         "equivalence_harness_large_grammar": {
             "what": "equivalence_harness(random_epsfree_grammar("
                     "random.Random(14), max_nonterminals=3, max_rules=5), "
@@ -310,6 +331,10 @@ def main() -> int:
         for side in SIDES:
             res = snippet(trees[side], COMPILE)
             doc["compile_large_grammar"]["runs"].append({**res, "side": side})
+            save()
+        for side in SIDES:
+            res = snippet(trees[side], DEEP_PARSE)
+            doc["deep_parse"]["runs"].append({**res, "side": side})
             save()
         for side in SIDES:
             res = snippet(trees[side], EQUIVALENCE)
