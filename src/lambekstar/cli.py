@@ -420,6 +420,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse reads an argument that starts with '-' and holds no space
+    # as an option, so "->p" would be refused; no option starts with "->",
+    # and a leading space makes argparse take the argument as the
+    # positional input it is (the parsers skip whitespace)
+    argv = [" " + a if a.startswith("->") else a for a in argv]
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -430,8 +437,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"budget exhausted: {e} (raise --budget)", file=sys.stderr)
         return 3
     except RecursionError:
-        # the parser keeps explicit stacks; only the renderer, the checker
-        # and the kernel still recurse, once per nesting level or formula
+        # the parser and the renderer keep explicit stacks; only the
+        # checker and the kernel still recurse, once per nesting level or
+        # formula
         print("error: input too deep or too long", file=sys.stderr)
         return 2
     except (LambekError, OSError) as e:

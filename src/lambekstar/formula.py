@@ -28,13 +28,19 @@ with left denominators x1 (innermost), x2 and right denominators y1
 (outermost), y2 — see :func:`curried_division`.  The text is split into
 tokens by one regex scan, and the grammar is parsed by one
 operator-precedence loop with explicit operand and operator stacks, so the
-parser has no depth limit.
+parser has no depth limit; the renderer keeps an explicit stack too.
+
+:class:`Sequent` and :class:`Derivation` are plain ``__slots__`` classes
+with value equality (``==`` and ``hash`` over their fields, in order) and
+a dataclass-style ``repr``; they are immutable by contract: nothing
+assigns to a field once the object is built.  A frozen dataclass would
+enforce that at twice the cost per object, and a proof search builds
+many of them.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -347,23 +353,63 @@ def And(left: Formula, right: Formula) -> Formula:
 # --------------------------------------------------------------------------
 # sequents and derivations
 
-@dataclass(frozen=True, slots=True)
-class Sequent:
+class _Record:
+    """Value semantics for a plain slot record: ``==`` and ``hash`` over
+    its fields in slot order, ``NotImplemented`` against any other class,
+    and a dataclass-style ``repr``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return self.__class__.__name__ + "(" + ", ".join(
+            [f"{name}={getattr(self, name)!r}" for name in self.__slots__]
+        ) + ")"
+
+
+class Sequent(_Record):
+    """``antecedent -> succedent``; a plain slot record, immutable by
+    contract."""
+
+    __slots__ = ("antecedent", "succedent")
+
     antecedent: tuple[Formula, ...]
     succedent: Formula
+
+    def __init__(self, antecedent: tuple[Formula, ...], succedent: Formula):
+        self.antecedent = antecedent
+        self.succedent = succedent
 
     def __str__(self) -> str:
         return render_sequent(self)
 
 
-@dataclass(frozen=True, slots=True)
-class Derivation:
+class Derivation(_Record):
     """One node of a sequent derivation: a rule label, its conclusion and
-    the premise subderivations in the order the rule schema lists them."""
+    the premise subderivations in the order the rule schema lists them;
+    a plain slot record, immutable by contract."""
+
+    __slots__ = ("rule", "conclusion", "premises")
 
     rule: str
     conclusion: Sequent
-    premises: tuple["Derivation", ...] = ()
+    premises: tuple["Derivation", ...]
+
+    def __init__(self, rule: str, conclusion: Sequent,
+                 premises: tuple["Derivation", ...] = ()):
+        self.rule = rule
+        self.conclusion = conclusion
+        self.premises = premises
 
 
 def render_derivation(d: Derivation, indent: int = 0) -> str:
@@ -378,35 +424,40 @@ def render_derivation(d: Derivation, indent: int = 0) -> str:
 
 _LEVEL = {UNDER: 0, OVER: 1, OR: 2, AND: 3, PROD: 4, STAR: 5, PLUS: 5,
           ATOM: 6, UNIT: 6}
+# binary kind -> (operator, level of the left operand, of the right one):
+# an operand below its level is parenthesised
+_INFIX = {UNDER: ("\\", 1, 0), OVER: ("/", 1, 2), OR: ("|", 3, 2),
+          AND: ("&", 4, 3), PROD: (".", 4, 5)}
+_POSTFIX_TEXT = {STAR: "^*", PLUS: "^+"}
 
 
 def render_formula(f: Formula) -> str:
-    return _render(f, 0)
-
-
-def _render(f: Formula, lvl: int) -> str:
-    k = f.kind
-    if _LEVEL[k] < lvl:
-        return "(" + _render(f, 0) + ")"
-    if k == ATOM:
-        return f.name
-    if k == UNIT:
-        return "1"
-    if k == UNDER:
-        return _render(f.left, 1) + "\\" + _render(f.right, 0)
-    if k == OVER:
-        return _render(f.left, 1) + "/" + _render(f.right, 2)
-    if k == OR:
-        return _render(f.left, 3) + "|" + _render(f.right, 2)
-    if k == AND:
-        return _render(f.left, 4) + "&" + _render(f.right, 3)
-    if k == PROD:
-        return _render(f.left, 4) + "." + _render(f.right, 5)
-    if k == STAR:
-        return _render(f.left, 5) + "^*"
-    if k == PLUS:
-        return _render(f.left, 5) + "^+"
-    raise AssertionError(k)
+    """The canonical text of ``f``, with the fewest parentheses that
+    parse back to it.  The pieces still to write, each a string or a
+    (formula, level) pair, wait on an explicit stack, so nesting depth is
+    bounded by memory alone."""
+    out: list[str] = []
+    todo: list = [(f, 0)]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        g, lvl = item
+        k = g.kind
+        if _LEVEL[k] < lvl:
+            todo += (")", (g, 0), "(")
+        elif k == ATOM:
+            out.append(g.name)
+        elif k == UNIT:
+            out.append("1")
+        elif k == STAR or k == PLUS:
+            todo += (_POSTFIX_TEXT[k], (g.left, 5))
+        else:
+            op, llvl, rlvl = _INFIX[k]
+            # pushed in reverse: the left operand is rendered first
+            todo += ((g.right, rlvl), op, (g.left, llvl))
+    return "".join(out)
 
 
 def render_sequent(s: Sequent) -> str:

@@ -30,8 +30,8 @@ from .checker import assert_valid_derivation, check_derivation
 from .formula import (
     ATOM, UNIT, UNDER, OVER, PROD, STAR, PLUS, OR, AND,
     BudgetError, CertificateError, Derivation, Formula, FragmentError,
-    GroupWord, Prod, Sequent, Star, Unit, _rebuild, _truth,
-    division_pure, render_formula, render_sequent, sequence_image,
+    GroupWord, Prod, Sequent, Star, Unit, _Record, _rebuild, _truth,
+    render_formula, render_sequent, sequence_image,
 )
 
 __all__ = [
@@ -50,10 +50,18 @@ def kernel_backend() -> str:
     return "pure"
 
 
-@dataclass(frozen=True)
-class ProofResult:
+class ProofResult(_Record):
+    """A verdict and, when proved, its certificate; a plain slot record,
+    immutable by contract."""
+
+    __slots__ = ("proved", "derivation")
+
     proved: bool
-    derivation: Derivation | None = None
+    derivation: Derivation | None
+
+    def __init__(self, proved: bool, derivation: Derivation | None = None):
+        self.proved = proved
+        self.derivation = derivation
 
     @property
     def verdict(self) -> str:
@@ -132,12 +140,37 @@ def _scan(f: Formula, positive: bool, restricted: bool) -> None:
         _scan(f.right, positive, restricted)
 
 
-def _prepare(sequent: Sequent, restricted: bool) -> Sequent:
-    ant = tuple(normalize_plus(a) for a in sequent.antecedent)
-    succ = normalize_plus(sequent.succedent)
-    for a in ant:
-        _scan(a, False, restricted)
-    _scan(succ, True, restricted)
+_DIVISION = 1 << ATOM | 1 << UNDER | 1 << OVER
+_SPECIAL = 1 << UNIT | 1 << STAR | 1 << PLUS     # what _scan looks for
+
+
+def _kinds(sequent: Sequent) -> int:
+    """OR of ``kinds`` over every formula of ``sequent``."""
+    kinds = sequent.succedent.kinds
+    for f in sequent.antecedent:
+        kinds |= f.kinds
+    return kinds
+
+
+def _prepare(sequent: Sequent, restricted: bool, kinds: int) -> Sequent:
+    """The sequent the engines search and the certificate concludes:
+    ``A^+`` rewritten to ``A.A^*``, the fragment checked, the antecedent a
+    tuple.  ``kinds`` is :func:`_kinds` of ``sequent``; without ``1``,
+    ``^*`` and ``^+`` both walks are no-ops and are skipped.  The caller's
+    own sequent comes back when nothing changes."""
+    ant = sequent.antecedent
+    succ = sequent.succedent
+    if kinds & _SPECIAL:
+        if kinds & 1 << PLUS:
+            ant = tuple(normalize_plus(a) for a in ant)
+            succ = normalize_plus(succ)
+        for a in ant:
+            _scan(a, False, restricted)
+        _scan(succ, True, restricted)
+    if ant.__class__ is not tuple:
+        ant = tuple(ant)
+    elif ant is sequent.antecedent and succ is sequent.succedent:
+        return sequent
     return Sequent(ant, succ)
 
 
@@ -149,19 +182,22 @@ def prove(sequent: Sequent, *, restricted: bool = False,
           budget: int = DEFAULT_BUDGET) -> ProofResult:
     """Decide a sequent, producing a derivation certificate when provable.
 
-    Division-pure sequents go to the focused kernel; anything else to the
-    general engine.  ``A^+`` is normalised to ``A.A^*`` first, so the
-    certificate's sequents mention only ``^*``.  Raises
+    One fold of ``kinds`` over the sequent decides both the entry walks
+    and the engine: without ``1``, ``^*`` or ``^+`` the normalisation and
+    fragment walks are skipped, and a sequent of atoms, ``\\`` and ``/``
+    alone goes to the focused kernel, anything else to the general engine.
+    ``A^+`` is normalised to ``A.A^*`` first, so the certificate's
+    sequents mention only ``^*``.  Raises
     :class:`BudgetError` after ``budget`` expansion steps, which still count
     in ``session.steps_used``; the session stays sound, because the memo
     only ever holds finished results.
     """
     session = _session_for(session, restricted)
-    seq = _prepare(sequent, restricted)
+    kinds = _kinds(sequent)
+    seq = _prepare(sequent, restricted, kinds)
     box = [budget]
     try:
-        if all(division_pure(f) for f in seq.antecedent) \
-                and division_pure(seq.succedent):
+        if not kinds & ~_DIVISION:
             d = _search.search(seq.antecedent, seq.succedent, session.memo,
                                box, restricted)
         else:
@@ -179,8 +215,7 @@ def prove_focused(sequent: Sequent, *, restricted: bool = False,
                   session: ProverSession | None = None,
                   budget: int = DEFAULT_BUDGET) -> ProofResult:
     """The focused engine only; raises FragmentError off the \\,/ fragment."""
-    if not all(division_pure(f) for f in sequent.antecedent) \
-            or not division_pure(sequent.succedent):
+    if _kinds(sequent) & ~_DIVISION:
         raise FragmentError("focused search handles only atoms, \\ and /")
     return prove(sequent, restricted=restricted, session=session,
                  budget=budget)
@@ -242,22 +277,26 @@ def _general(ant: tuple, succ: Formula, memo: dict, budget: list,
 
 def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
                   restricted: bool) -> Derivation | None:
-    conclusion = Sequent(ant, succ)
+    # the conclusion Sequent(ant, succ) is built only where a derivation
+    # is returned: most states fail, and no result holds theirs
     sk = succ.kind
 
     # invertible right rules
     if sk == UNDER:
         p = _general((succ.left,) + ant, succ.right, memo, budget, restricted)
-        return None if p is None else Derivation("->\\", conclusion, (p,))
+        return None if p is None \
+            else Derivation("->\\", Sequent(ant, succ), (p,))
     if sk == OVER:
         p = _general(ant + (succ.right,), succ.left, memo, budget, restricted)
-        return None if p is None else Derivation("->/", conclusion, (p,))
+        return None if p is None \
+            else Derivation("->/", Sequent(ant, succ), (p,))
     if sk == AND:
         p1 = _general(ant, succ.left, memo, budget, restricted)
         if p1 is None:
             return None
         p2 = _general(ant, succ.right, memo, budget, restricted)
-        return None if p2 is None else Derivation("->&", conclusion, (p1, p2))
+        return None if p2 is None \
+            else Derivation("->&", Sequent(ant, succ), (p1, p2))
 
     # invertible left rules, leftmost applicable position first
     for i, f in enumerate(ant):
@@ -265,11 +304,13 @@ def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
         if k == PROD:
             p = _general(ant[:i] + (f.left, f.right) + ant[i + 1:], succ,
                          memo, budget, restricted)
-            return None if p is None else Derivation(".->", conclusion, (p,))
+            return None if p is None \
+                else Derivation(".->", Sequent(ant, succ), (p,))
         if k == UNIT:
             p = _general(ant[:i] + ant[i + 1:], succ, memo, budget,
                          restricted)
-            return None if p is None else Derivation("1->", conclusion, (p,))
+            return None if p is None \
+                else Derivation("1->", Sequent(ant, succ), (p,))
         if k == OR:
             p1 = _general(ant[:i] + (f.left,) + ant[i + 1:], succ, memo,
                           budget, restricted)
@@ -278,7 +319,7 @@ def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
             p2 = _general(ant[:i] + (f.right,) + ant[i + 1:], succ, memo,
                           budget, restricted)
             return None if p2 is None \
-                else Derivation("|->", conclusion, (p1, p2))
+                else Derivation("|->", Sequent(ant, succ), (p1, p2))
 
     # the relational test of the kernel, where every formula has a value
     if succ.tv is not None and all(f.tv is not None for f in ant) \
@@ -287,14 +328,14 @@ def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
 
     # axioms
     if sk == ATOM and len(ant) == 1 and ant[0] is succ:
-        return Derivation("Ax", conclusion)
+        return Derivation("Ax", Sequent(ant, succ))
     if sk == UNIT and not ant and not restricted:
-        return Derivation("1-Ax", conclusion)
+        return Derivation("1-Ax", Sequent(ant, succ))
 
     # non-invertible right rules
     if sk == STAR:
         if not ant:
-            return Derivation("->*_0", conclusion)
+            return Derivation("->*_0", Sequent(ant, succ))
         n = len(ant)
         for k in range(1, n + 1):
             for cuts in _compositions(n, k):
@@ -307,7 +348,7 @@ def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
                         break
                     premises.append(p)
                 else:
-                    return Derivation(f"->*_{k}", conclusion,
+                    return Derivation(f"->*_{k}", Sequent(ant, succ),
                                       tuple(premises))
     elif sk == PROD:
         for i in range(len(ant) + 1):
@@ -316,14 +357,14 @@ def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
                 continue
             p2 = _general(ant[i:], succ.right, memo, budget, restricted)
             if p2 is not None:
-                return Derivation("->.", conclusion, (p1, p2))
+                return Derivation("->.", Sequent(ant, succ), (p1, p2))
     elif sk == OR:
         p = _general(ant, succ.left, memo, budget, restricted)
         if p is not None:
-            return Derivation("->|1", conclusion, (p,))
+            return Derivation("->|1", Sequent(ant, succ), (p,))
         p = _general(ant, succ.right, memo, budget, restricted)
         if p is not None:
-            return Derivation("->|2", conclusion, (p,))
+            return Derivation("->|2", Sequent(ant, succ), (p,))
 
     # non-invertible left rules
     for i, f in enumerate(ant):
@@ -339,7 +380,7 @@ def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
                 p2 = _general(ant[:j] + (f.right,) + ant[i + 1:], succ,
                               memo, budget, restricted)
                 if p2 is not None:
-                    return Derivation("\\->", conclusion, (p1, p2))
+                    return Derivation("\\->", Sequent(ant, succ), (p1, p2))
         elif k == OVER:
             for j in range(i + 1, len(ant) + 1):
                 pi = ant[i + 1:j]
@@ -351,16 +392,16 @@ def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
                 p2 = _general(ant[:i] + (f.left,) + ant[j:], succ,
                               memo, budget, restricted)
                 if p2 is not None:
-                    return Derivation("/->", conclusion, (p1, p2))
+                    return Derivation("/->", Sequent(ant, succ), (p1, p2))
         elif k == AND:
             p = _general(ant[:i] + (f.left,) + ant[i + 1:], succ, memo,
                          budget, restricted)
             if p is not None:
-                return Derivation("&->1", conclusion, (p,))
+                return Derivation("&->1", Sequent(ant, succ), (p,))
             p = _general(ant[:i] + (f.right,) + ant[i + 1:], succ, memo,
                          budget, restricted)
             if p is not None:
-                return Derivation("&->2", conclusion, (p,))
+                return Derivation("&->2", Sequent(ant, succ), (p,))
     return None
 
 
@@ -376,7 +417,7 @@ def naive_prove(sequent: Sequent, *, restricted: bool = False,
     is strictly smaller, so the recursion terminates), but otherwise as
     direct a transcription of the rules as possible.
     """
-    seq = _prepare(sequent, restricted)
+    seq = _prepare(sequent, restricted, _kinds(sequent))
     memo: dict = {}
     box = [budget]
 

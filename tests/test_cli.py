@@ -85,11 +85,22 @@ class TestProve:
         assert r.returncode == 3
         assert "budget" in r.stderr.lower()
 
-    def test_deeply_nested_input_is_a_usage_error(self):
+    def test_deeply_nested_input_is_decided(self):
+        # parser, kernel and renderer all keep explicit stacks here
         r = run_cli("prove", "p -> " + "p\\" * 2000 + "p")
-        assert r.returncode == 2
-        assert "too deep or too long" in r.stderr
-        assert "Traceback" not in r.stderr
+        assert r.returncode == 1
+        assert r.stdout.startswith("Refuted")
+        assert r.stderr == ""
+
+    @pytest.mark.parametrize("text,code,first", [
+        ("->1", 0, "Proved"), ("->p", 1, "Refuted"),
+    ])
+    def test_unspaced_empty_antecedent_is_the_input(self, text, code, first):
+        # argparse would read "->1" as an unknown option
+        r = run_cli("prove", text)
+        assert r.returncode == code
+        assert r.stdout.splitlines()[0] == first
+        assert r.stdout == run_cli("prove", "-> " + text[2:]).stdout
 
     def test_long_flat_input_is_a_usage_error(self):
         # flat, but the kernel recursion grows with the antecedent length
@@ -107,6 +118,11 @@ class TestProve:
 
 
 class TestSmallVerbs:
+    def test_fmt_unspaced_empty_antecedent(self):
+        r = run_cli("fmt", "->p")
+        assert r.returncode == 0
+        assert r.stdout == "-> p\n"
+
     def test_fmt_canonicalizes(self):
         r = run_cli("fmt", "q / ( p \\ q )")
         assert r.returncode == 0

@@ -10,14 +10,16 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lambekstar import (And, Atom, FragmentError, GroupWord, Or, Over,
+from lambekstar import (And, Atom, Derivation, FragmentError, GroupWord,
+                        Or, Over,
                         ParseError, Plus, Prod, Sequent, Star, Under, Unit,
                         VarSupply, atoms_of, curried_division, division_pure,
                         fg_interp, naive_prove, parse_formula, parse_sequent,
                         render_formula, render_sequent, sentinel,
                         sequence_image, split_curried, top_of, type_raise,
                         zero_balanced)
-from lambekstar.formula import _comp, _truth
+from lambekstar.formula import (AND, ATOM, OR, OVER, PLUS, PROD, STAR, UNDER,
+                                UNIT, _comp, _truth)
 
 from helpers import random_division_pure
 
@@ -175,6 +177,101 @@ def test_deep_parentheses_parse():
 def test_long_antecedent_parses():
     text = "p, " + ", ".join(["p\\p"] * 600) + " -> p"
     assert parse_sequent(text) == Sequent((p,) + (Under(p, p),) * 600, p)
+
+
+# the recursive renderer that the stack-based one replaced, kept as the
+# reference for its output
+LEVEL = {UNDER: 0, OVER: 1, OR: 2, AND: 3, PROD: 4, STAR: 5, PLUS: 5,
+         ATOM: 6, UNIT: 6}
+
+
+def old_render(f, lvl: int = 0) -> str:
+    k = f.kind
+    if LEVEL[k] < lvl:
+        return "(" + old_render(f, 0) + ")"
+    if k == ATOM:
+        return f.name
+    if k == UNIT:
+        return "1"
+    if k == UNDER:
+        return old_render(f.left, 1) + "\\" + old_render(f.right, 0)
+    if k == OVER:
+        return old_render(f.left, 1) + "/" + old_render(f.right, 2)
+    if k == OR:
+        return old_render(f.left, 3) + "|" + old_render(f.right, 2)
+    if k == AND:
+        return old_render(f.left, 4) + "&" + old_render(f.right, 3)
+    if k == PROD:
+        return old_render(f.left, 4) + "." + old_render(f.right, 5)
+    if k == STAR:
+        return old_render(f.left, 5) + "^*"
+    return old_render(f.left, 5) + "^+"
+
+
+def test_render_matches_the_old_renderer_on_the_pins():
+    for _, f in FORMULA_PINS:
+        assert render_formula(f) == old_render(f)
+
+
+@given(formulas())
+@settings(max_examples=200, deadline=None)
+def test_render_matches_the_old_renderer_random(f):
+    assert render_formula(f) == old_render(f)
+
+
+def test_render_matches_the_old_renderer_on_the_stream():
+    sys.path.insert(0, str(SRC.parent / "perfbench"))
+    try:
+        from inputs import STREAM_ITEMS, sequent_stream
+    finally:
+        sys.path.pop(0)
+    for seed in (1, 2, 3):
+        for _, text in sequent_stream(seed, STREAM_ITEMS):
+            s = parse_sequent(text)
+            assert render_sequent(s) == text
+            for f in s.antecedent + (s.succedent,):
+                assert render_formula(f) == old_render(f)
+
+
+def test_deep_formula_renders():
+    # the renderer keeps an explicit stack: no recursion limit on depth
+    text = "p\\" * 2000 + "p"
+    f = parse_formula(text)
+    assert render_formula(f) == text
+    assert render_sequent(Sequent((p,), f)) == "p -> " + text
+    assert render_formula(parse_formula("(" * 2000 + "p" + ".p)" * 2000)) \
+        == "p" + ".p" * 2000
+
+
+# --------------------------------------------------------------------------
+# sequent and derivation records
+
+def test_sequent_value_semantics():
+    s1 = Sequent((p, Under(p, q)), q)
+    s2 = parse_sequent("p, p\\q -> q")
+    assert s1 == s2 and s1 is not s2
+    assert hash(s1) == hash(s2)
+    assert len({s1, s2}) == 1
+    assert s1 != Sequent((p,), q)
+    assert s1 != (s1.antecedent, s1.succedent)
+    assert s1.__eq__("p, p\\q -> q") is NotImplemented
+    assert repr(s1) == \
+        "Sequent(antecedent=(<p>, <p\\q>), succedent=<q>)"
+    assert str(s1) == "p, p\\q -> q"
+
+
+def test_derivation_value_semantics():
+    ax = Derivation("Ax", Sequent((p,), p))
+    d1 = Derivation("->/", Sequent((), Over(p, p)), (ax,))
+    d2 = Derivation("->/", parse_sequent("-> p/p"),
+                    premises=(Derivation("Ax", parse_sequent("p -> p")),))
+    assert d1 == d2 and hash(d1) == hash(d2)
+    assert len({d1, d2, ax}) == 2
+    assert ax.premises == ()
+    assert d1 != Derivation("->\\", d1.conclusion, d1.premises)
+    assert ax.__eq__(ax.conclusion) is NotImplemented
+    assert repr(ax) == ("Derivation(rule='Ax', conclusion=Sequent("
+                        "antecedent=(<p>,), succedent=<p>), premises=())")
 
 
 # --------------------------------------------------------------------------

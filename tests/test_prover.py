@@ -7,7 +7,8 @@ import random
 import pytest
 
 from lambekstar import (And, Atom, BudgetError, CertificateError,
-                        FragmentError, Or, Over, Plus, Prod, ProverSession,
+                        FragmentError, Or, Over, Plus, Prod, ProofResult,
+                        ProverSession,
                         Sequent, Star, Under, Unit, check_derivation,
                         fg_interp,
                         kernel_backend, naive_prove, normalize_plus,
@@ -16,6 +17,7 @@ from lambekstar import (And, Atom, BudgetError, CertificateError,
                         invert_to_atomic, principal_candidates, sentinel)
 from lambekstar.checker import assert_valid_derivation
 from lambekstar.formula import Derivation, _truth
+from lambekstar.prover import _kinds, _prepare
 
 from helpers import (random_division_pure, random_division_sequent,
                      random_full_sequent)
@@ -107,6 +109,53 @@ class TestPins:
         assert prove(parse_sequent("p & q -> p"), restricted=True).proved
         assert not prove(parse_sequent("p -> p & q"),
                          restricted=True).proved
+
+
+class TestEntry:
+    """One fold of ``kinds`` at ``prove`` entry picks the walks and the
+    engine; the result records keep their value semantics."""
+
+    def test_proof_result_record(self):
+        d = prove(parse_sequent("p, p\\q -> q")).derivation
+        res = ProofResult(True, d)
+        assert res.proved and res.derivation is d
+        assert res.verdict == "Proved"
+        assert ProofResult(False).verdict == "Refuted"
+        assert ProofResult(False).derivation is None
+        assert res == prove(parse_sequent("p, p\\q -> q"))
+        assert hash(res) == hash(ProofResult(True, d))
+        assert res != ProofResult(False, d)
+        assert repr(ProofResult(False)) == \
+            "ProofResult(proved=False, derivation=None)"
+
+    @pytest.mark.parametrize("text", [
+        "p, p\\q -> q", "p, q -> p.q", "p, p -> p^*", "q/p, p, r -> q . r",
+    ])
+    def test_list_antecedent_proves_like_the_tuple(self, text):
+        s = parse_sequent(text)
+        listed = prove(Sequent(list(s.antecedent), s.succedent))
+        assert listed.proved
+        assert listed.derivation.conclusion.antecedent.__class__ is tuple
+        assert render_derivation(listed.derivation) == \
+            render_derivation(prove(s).derivation)
+
+    @pytest.mark.parametrize("text", ["p, p\\q -> q", "p -> p . 1^*"])
+    def test_unchanged_sequent_is_the_callers_own(self, text):
+        s = parse_sequent(text)
+        assert _prepare(s, False, _kinds(s)) is s
+        assert prove(s).derivation.conclusion == s
+
+    def test_plus_certificate_concludes_the_normalised_sequent(self):
+        d = prove(parse_sequent("p, q, q -> (p.q^+)")).derivation
+        assert d.conclusion == parse_sequent("p, q, q -> p.(q.q^*)")
+        assert check_derivation(d)
+
+    @pytest.mark.parametrize("text", [
+        "1 -> p/p", "-> 1", "p -> p^*", "p^* -> p", "p^+, p -> p",
+    ])
+    def test_unit_and_iteration_are_refused_when_restricted(self, text):
+        with pytest.raises(FragmentError):
+            prove(parse_sequent(text), restricted=True)
 
 
 def random_chain(rng: random.Random) -> Sequent:

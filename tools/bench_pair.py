@@ -22,9 +22,18 @@ fresh checkouts without bytecode caches.  Then, in each checkout:
 * ``compile_unique`` of the grammar ``S -> A S b | b; A -> a A | ``
   (unique types of 1,879 and 3,379 nodes), once per side, in a fresh
   process;
-* ``parse_formula`` of the 2,000-deep ``p\\p\\...\\p``, once per side, in
-  a fresh process, recording its seconds or, when it raises, the
-  exception's class name (a recursive parser gives ``RecursionError``);
+* ``parse_formula`` of the 2,000-deep ``p\\p\\...\\p``, then
+  ``render_formula`` of the parsed chain, once per side, in a fresh
+  process, recording each one's seconds or, when it raises, the
+  exception's class name (a recursive parser or renderer gives
+  ``RecursionError``);
+* small calls, once per side, in a fresh process: the best-of-7 per-call
+  microseconds (2,000 calls a repeat) of ``prove`` on ``p, p\\q -> q`` and
+  of ``instance_soundness`` on ``p, q, q -> p.q^*``, and the number of
+  ``Sequent`` and ``Derivation`` objects that one pass over the seed-1
+  stream of the ``small-sequents`` workload builds (each item parsed,
+  then proved or certified as the workload does), counted by wrapping the
+  two classes' ``__init__`` in that process only;
 * ``equivalence_harness(g, "safiullin", 3)`` on the grammar
   ``random_epsfree_grammar(random.Random(14), max_nonterminals=3,
   max_rules=5)`` of ``tests/helpers.py``, once per side, in a fresh
@@ -98,14 +107,55 @@ print(json.dumps({
 
 DEEP_PARSE = """
 import json, time
-from lambekstar import parse_formula
+from lambekstar import parse_formula, render_formula
 text = "p\\\\" * 2000 + "p"
 t0 = time.perf_counter()
 try:
-    parse_formula(text)
+    f = parse_formula(text)
     out = {"seconds": round(time.perf_counter() - t0, 3)}
 except Exception as e:
-    out = {"exception": type(e).__name__}
+    f, out = None, {"exception": type(e).__name__}
+if f is not None:
+    t0 = time.perf_counter()
+    try:
+        render_formula(f)
+        out["render_seconds"] = round(time.perf_counter() - t0, 3)
+    except Exception as e:
+        out["render_exception"] = type(e).__name__
+print(json.dumps(out))
+"""
+
+SMALL_CALLS = """
+import json, sys, timeit
+sys.path.insert(0, "perfbench")
+from inputs import STREAM_ITEMS, sequent_stream
+from lambekstar import (Derivation, Sequent, instance_soundness,
+                        parse_sequent, prove)
+
+def best_us(call):
+    return round(min(timeit.repeat(call, number=2000, repeat=7)) / 2000
+                 * 1e6, 2)
+
+s = parse_sequent("p, p\\\\q -> q")
+inst = parse_sequent("p, q, q -> p.q^*")
+out = {"prove_us": best_us(lambda: prove(s)),
+       "instance_soundness_us": best_us(
+           lambda: instance_soundness(inst.succedent, inst.antecedent))}
+items = sequent_stream(1, STREAM_ITEMS)
+built = {Sequent: 0, Derivation: 0}
+for cls in built:
+    def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+        built[_cls] += 1
+        _init(self, *args, **kwargs)
+    cls.__init__ = counted
+for kind, text in items:
+    seq = parse_sequent(text)
+    if kind == "certify":
+        instance_soundness(seq.succedent, seq.antecedent)
+    else:
+        prove(seq)
+out.update(sequents_per_pass=built[Sequent],
+           derivations_per_pass=built[Derivation])
 print(json.dumps(out))
 """
 
@@ -278,9 +328,16 @@ def main() -> int:
                     "parent first",
             "runs": []},
         "deep_parse": {
-            "what": "parse_formula of the 2,000-deep p\\p\\...\\p in a "
-                    "fresh process: seconds, or the exception's class name; "
-                    "one run per side, parent first",
+            "what": "parse_formula, then render_formula, of the 2,000-deep "
+                    "p\\p\\...\\p in a fresh process: seconds, or the "
+                    "exception's class name; one run per side, parent first",
+            "runs": []},
+        "small_calls": {
+            "what": "best-of-7 per-call us of prove(p, p\\q -> q) and of "
+                    "instance_soundness(p, q, q -> p.q^*), and the Sequent "
+                    "and Derivation objects one seed-1 small-sequents "
+                    "stream pass builds, in a fresh process; one run per "
+                    "side, parent first",
             "runs": []},
         "equivalence_harness_large_grammar": {
             "what": "equivalence_harness(random_epsfree_grammar("
@@ -335,6 +392,10 @@ def main() -> int:
         for side in SIDES:
             res = snippet(trees[side], DEEP_PARSE)
             doc["deep_parse"]["runs"].append({**res, "side": side})
+            save()
+        for side in SIDES:
+            res = snippet(trees[side], SMALL_CALLS)
+            doc["small_calls"]["runs"].append({**res, "side": side})
             save()
         for side in SIDES:
             res = snippet(trees[side], EQUIVALENCE)
