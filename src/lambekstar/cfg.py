@@ -29,11 +29,10 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .formula import LambekError
+from .formula import LambekError, _Record
 
 __all__ = [
     "Grammar", "GnfCfg", "GrammarError", "EmptyWordError",
@@ -65,21 +64,26 @@ def is_terminal(token: str) -> bool:
 # grammar values
 
 
-@dataclass(frozen=True)
-class Grammar:
+class Grammar(_Record):
     """An ordered rule list ``(lhs, rhs)`` with a designated start symbol.
 
     ``rhs`` is a (possibly empty) tuple mixing nonterminals and terminals;
     an empty tuple is an epsilon rule.  Rule order is meaningful: it fixes
-    enumeration order everywhere downstream.
+    enumeration order everywhere downstream.  A plain slot record,
+    immutable by contract.
     """
+
+    __slots__ = ("rules", "start")
 
     rules: tuple[tuple[str, tuple[str, ...]], ...]
     start: str
 
-    def __post_init__(self) -> None:
-        lhss = {lhs for lhs, _ in self.rules}
-        for lhs, rhs in self.rules:
+    def __init__(self, rules: tuple[tuple[str, tuple[str, ...]], ...],
+                 start: str):
+        self.rules = rules
+        self.start = start
+        lhss = {lhs for lhs, _ in rules}
+        for lhs, rhs in rules:
             if not is_nonterminal(lhs):
                 raise GrammarError(f"bad nonterminal {lhs!r}")
             for sym in rhs:
@@ -88,8 +92,8 @@ class Grammar:
                         raise GrammarError(f"undeclared nonterminal {sym!r}")
                 elif not is_terminal(sym):
                     raise GrammarError(f"bad symbol {sym!r}")
-        if self.start not in lhss:
-            raise GrammarError(f"start symbol {self.start!r} has no rules")
+        if start not in lhss:
+            raise GrammarError(f"start symbol {start!r} has no rules")
 
     @property
     def nonterminals(self) -> tuple[str, ...]:
@@ -112,23 +116,30 @@ class Grammar:
         return render_cfg(self)
 
 
-@dataclass(frozen=True)
-class GnfCfg:
+class GnfCfg(_Record):
     """A grammar in binary Greibach normal form.
 
     Every rule is ``(lhs, terminal, k, l)`` standing for
     ``lhs => terminal k? l?`` where ``k``/``l`` are optional nonterminals
     and ``l`` is present only when ``k`` is.  ``declared_terminals``
     remembers the terminal alphabet of the source grammar before pruning,
-    so compilers can reject terminals whose rules were all useless.
+    so compilers can reject terminals whose rules were all useless; it
+    defaults to the rules' own terminals.  A plain slot record, immutable
+    by contract.
     """
+
+    __slots__ = ("rules", "start", "declared_terminals")
 
     rules: tuple[tuple[str, str, str | None, str | None], ...]
     start: str
-    declared_terminals: tuple[str, ...] = field(default=())
+    declared_terminals: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        for lhs, a, k, l in self.rules:
+    def __init__(self,
+                 rules: tuple[tuple[str, str, str | None, str | None], ...],
+                 start: str, declared_terminals: tuple[str, ...] = ()):
+        self.rules = rules
+        self.start = start
+        for lhs, a, k, l in rules:
             if not is_nonterminal(lhs) or not is_terminal(a):
                 raise GrammarError(f"bad rule {(lhs, a, k, l)!r}")
             if l is not None and k is None:
@@ -137,8 +148,7 @@ class GnfCfg:
             for sym in (k, l):
                 if sym is not None and not is_nonterminal(sym):
                     raise GrammarError(f"bad nonterminal {sym!r}")
-        if not self.declared_terminals:
-            object.__setattr__(self, "declared_terminals", self.terminals)
+        self.declared_terminals = declared_terminals or self.terminals
 
     @property
     def nonterminals(self) -> tuple[str, ...]:

@@ -5,6 +5,10 @@ schemas by direct reconstruction: given the premises, it recomputes what the
 conclusion must look like and compares.  It deliberately shares no code with
 the proof search — a derivation accepted here is evidence on its own.  A node
 shared by several parents, as memoised search returns them, is checked once.
+Nodes are visited in pre-order from an explicit stack, so derivation depth
+is bounded by memory alone.  Formulas are hash-consed, so a rule's principal
+formula is recognised by its children's identity; the checker builds no
+formula of its own.
 
 Rule labels:
 
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from .formula import (
     ATOM, UNDER, OVER, PROD, STAR, OR, AND,
-    CertificateError, Derivation, Over, Prod, Under, Unit, render_sequent,
+    CertificateError, Derivation, Unit, render_sequent,
 )
 
 __all__ = ["check_derivation"]
@@ -63,24 +67,29 @@ def _fail(d: Derivation, why: str) -> None:
         f"bad [{d.rule}] node at {render_sequent(d.conclusion)}: {why}")
 
 
-def _check(d: Derivation, restricted: bool, seen: set) -> None:
-    # ids are stable here: every node is reachable from a root throughout
-    if id(d) in seen:
-        return
-    seen.add(id(d))
-    if restricted and not d.conclusion.antecedent:
-        _fail(d, "empty antecedent under Lambek's restriction")
-    rule = d.rule
-    checker = _CHECKERS.get(rule)
-    if checker is None:
-        if rule.startswith("->*_"):
-            _check_star(d)
+def _check(root: Derivation, restricted: bool, seen: set) -> None:
+    # pre-order: a node, then its premises left to right; ids are stable
+    # here, since every node is reachable from a root throughout
+    stack = [root]
+    while stack:
+        d = stack.pop()
+        key = id(d)
+        if key in seen:
+            continue
+        seen.add(key)
+        if restricted and not d.conclusion.antecedent:
+            _fail(d, "empty antecedent under Lambek's restriction")
+        rule = d.rule
+        checker = _CHECKERS.get(rule)
+        if checker is None:
+            if rule.startswith("->*_"):
+                _check_star(d)
+            else:
+                _fail(d, "unknown rule label")
         else:
-            _fail(d, "unknown rule label")
-    else:
-        checker(d)
-    for p in d.premises:
-        _check(p, restricted, seen)
+            checker(d)
+        if d.premises:
+            stack += d.premises[::-1]
 
 
 def _ant(d: Derivation) -> tuple:
@@ -118,10 +127,14 @@ def _check_under_left(d: Derivation) -> None:
         _fail(d, "context premise changes the succedent")
     body = p2.conclusion.antecedent
     ant = _ant(d)
-    for j in range(len(body)):
-        f = Under(a, body[j])
-        if body[:j] + pi + (f,) + body[j + 1:] == ant:
-            return
+    n = len(pi)
+    if len(ant) == len(body) + n:
+        for j in range(len(body)):
+            f = ant[j + n]
+            if f.kind == UNDER and f.left is a and f.right is body[j] \
+                    and ant[:j] == body[:j] and ant[j:j + n] == pi \
+                    and ant[j + n + 1:] == body[j + 1:]:
+                return
     _fail(d, "conclusion is not the rule's recombination of the premises")
 
 
@@ -133,10 +146,14 @@ def _check_over_left(d: Derivation) -> None:
         _fail(d, "context premise changes the succedent")
     body = p2.conclusion.antecedent
     ant = _ant(d)
-    for j in range(len(body)):
-        f = Over(body[j], a)
-        if body[:j] + (f,) + pi + body[j + 1:] == ant:
-            return
+    n = len(pi)
+    if len(ant) == len(body) + n:
+        for j in range(len(body)):
+            f = ant[j]
+            if f.kind == OVER and f.left is body[j] and f.right is a \
+                    and ant[:j] == body[:j] and ant[j + 1:j + 1 + n] == pi \
+                    and ant[j + n + 1:] == body[j + 1:]:
+                return
     _fail(d, "conclusion is not the rule's recombination of the premises")
 
 
@@ -166,9 +183,13 @@ def _check_prod_left(d: Derivation) -> None:
     if p.succedent is not _succ(d):
         _fail(d, "premise changes the succedent")
     ant, body = _ant(d), p.antecedent
-    for j in range(len(body) - 1):
-        if body[:j] + (Prod(body[j], body[j + 1]),) + body[j + 2:] == ant:
-            return
+    if len(ant) == len(body) - 1:
+        for j in range(len(ant)):
+            f = ant[j]
+            if f.kind == PROD and f.left is body[j] \
+                    and f.right is body[j + 1] \
+                    and ant[:j] == body[:j] and ant[j + 1:] == body[j + 2:]:
+                return
     _fail(d, "conclusion does not fuse two adjacent premise formulas")
 
 

@@ -27,13 +27,12 @@ empty word is never accepted: these grammars model non-empty words only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .cfg import GnfCfg, GrammarError
 from .formula import (
-    Atom, Formula, Over, Sequent, Under, VarSupply, curried_division,
-    sentinel, zero_balanced,
+    Atom, Formula, Over, Sequent, Under, VarSupply, _Record,
+    curried_division, sentinel, zero_balanced,
 )
 from .joins import JoinCertificate, JoinProblem, join
 from .prover import DEFAULT_BUDGET, ProverSession, _session_for, prove
@@ -87,9 +86,11 @@ class CompilerContext:
         return self.supply.fresh(base)
 
 
-@dataclass(frozen=True)
-class IsParts:
-    """The full record behind one ``is(U)`` formula, for introspection."""
+class IsParts(_Record):
+    """The full record behind one ``is(U)`` formula, for introspection;
+    a plain slot record, immutable by contract."""
+
+    __slots__ = ("members", "formula", "e", "b", "c", "f", "g")
 
     members: tuple[Formula, ...]
     formula: Formula
@@ -99,10 +100,25 @@ class IsParts:
     f: JoinCertificate
     g: JoinCertificate
 
+    def __init__(self, members: tuple[Formula, ...], formula: Formula,
+                 e: tuple[Formula, ...], b: tuple[Formula, ...],
+                 c: tuple[Formula, ...], f: JoinCertificate,
+                 g: JoinCertificate):
+        self.members = members
+        self.formula = formula
+        self.e = e
+        self.b = b
+        self.c = c
+        self.f = f
+        self.g = g
 
-@dataclass(frozen=True)
-class CompiledGrammar:
-    """Unique-type lexicon: exactly one formula per terminal."""
+
+class CompiledGrammar(_Record):
+    """Unique-type lexicon: exactly one formula per terminal; a plain slot
+    record, immutable by contract.  Its ``repr`` leaves out ``context``."""
+
+    __slots__ = ("lexicon", "goal", "h", "u_sets", "parts", "sentinels",
+                 "context")
 
     lexicon: Mapping[str, Formula]
     goal: Formula
@@ -110,15 +126,39 @@ class CompiledGrammar:
     u_sets: Mapping[str, tuple[Formula, ...]]
     parts: Mapping[str, IsParts]
     sentinels: Mapping[str, Formula]
-    context: CompilerContext = field(repr=False)
+    context: CompilerContext
+
+    def __init__(self, lexicon: Mapping[str, Formula], goal: Formula,
+                 h: Mapping[str, Formula],
+                 u_sets: Mapping[str, tuple[Formula, ...]],
+                 parts: Mapping[str, IsParts],
+                 sentinels: Mapping[str, Formula],
+                 context: CompilerContext):
+        self.lexicon = lexicon
+        self.goal = goal
+        self.h = h
+        self.u_sets = u_sets
+        self.parts = parts
+        self.sentinels = sentinels
+        self.context = context
+
+    def __repr__(self) -> str:
+        return self._repr(self.__slots__[:-1])
 
 
-@dataclass(frozen=True)
-class LambekGrammar:
-    """General lexicon: a finite non-empty set of formulas per terminal."""
+class LambekGrammar(_Record):
+    """General lexicon: a finite non-empty set of formulas per terminal;
+    a plain slot record, immutable by contract."""
+
+    __slots__ = ("lexicon", "goal")
 
     lexicon: Mapping[str, tuple[Formula, ...]]
     goal: Formula
+
+    def __init__(self, lexicon: Mapping[str, tuple[Formula, ...]],
+                 goal: Formula):
+        self.lexicon = lexicon
+        self.goal = goal
 
 
 def _build_is_parts(u_set: Sequence[Formula], ctx: CompilerContext,

@@ -11,7 +11,10 @@ on a two-point set (``tv``) at construction time; ``top``, ``fgw`` and
 ``tv`` are ``None`` outside the fragments where they make sense.  Both
 provers refute through ``tv`` alone; the images serve the public API
 (:func:`fg_interp`, :func:`sequence_image`, :func:`zero_balanced`), the
-join precondition and the certificate audit.
+join precondition and the certificate audit.  Images share their letters:
+interning an atom makes its one positive letter and registers the inverse
+letter, so every image holds one object per letter however often the
+letter occurs.
 
 Concrete syntax, loosest to tightest::
 
@@ -30,12 +33,13 @@ tokens by one regex scan, and the grammar is parsed by one
 operator-precedence loop with explicit operand and operator stacks, so the
 parser has no depth limit; the renderer keeps an explicit stack too.
 
-:class:`Sequent` and :class:`Derivation` are plain ``__slots__`` classes
-with value equality (``==`` and ``hash`` over their fields, in order) and
-a dataclass-style ``repr``; they are immutable by contract: nothing
-assigns to a field once the object is built.  A frozen dataclass would
-enforce that at twice the cost per object, and a proof search builds
-many of them.
+:class:`Sequent`, :class:`Derivation` and every other value record of the
+package are plain ``__slots__`` classes on one base, ``_Record``, with
+value equality (``==`` and ``hash`` over their fields, in order) and a
+dataclass-style ``repr``; they are immutable by contract: nothing assigns
+to a field once the object is built.  A frozen dataclass would enforce
+that at twice the cost per object, a proof search builds many of them,
+and loading ``dataclasses`` alone costs more than the rest of the import.
 """
 
 from __future__ import annotations
@@ -101,8 +105,18 @@ def _gmul(a: tuple, b: tuple) -> tuple:
     return a[:i] + b[j:]
 
 
+# letter -> its inverse letter.  Interning an atom registers its two
+# letters here, so every image shares one object per letter instead of
+# holding a fresh pair per occurrence (hash-consing, as for formulas).
+_INV: dict = {}
+
+
 def _ginv(a: tuple) -> tuple:
-    return tuple((name, -sign) for name, sign in reversed(a))
+    """The inverse word: letters reversed, each replaced by its shared
+    inverse; a fresh pair only for a letter of an atom never interned,
+    which a :class:`GroupWord` may hold."""
+    inv = _INV
+    return tuple([inv.get(x) or (x[0], -x[1]) for x in reversed(a)])
 
 
 # --------------------------------------------------------------------------
@@ -268,7 +282,10 @@ def _intern(kind: int, name: str | None, left: Formula | None,
 
     if kind == ATOM:
         f.top = name
-        f.fgw = ((name, 1),)
+        pos = (name, 1)
+        _INV[pos] = neg = (name, -1)
+        _INV[neg] = pos
+        f.fgw = (pos,)
         f.tv = _atom_tv(name)
     elif kind == UNIT:
         f.top = None
@@ -356,7 +373,8 @@ def And(left: Formula, right: Formula) -> Formula:
 class _Record:
     """Value semantics for a plain slot record: ``==`` and ``hash`` over
     its fields in slot order, ``NotImplemented`` against any other class,
-    and a dataclass-style ``repr``."""
+    and a dataclass-style ``repr``.  A mutable record sets ``__hash__`` to
+    None; a record can show fewer fields through ``_repr``."""
 
     __slots__ = ()
 
@@ -372,9 +390,11 @@ class _Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
+        return self._repr(self.__slots__)
+
+    def _repr(self, names: tuple) -> str:
         return self.__class__.__name__ + "(" + ", ".join(
-            [f"{name}={getattr(self, name)!r}" for name in self.__slots__]
-        ) + ")"
+            [f"{name}={getattr(self, name)!r}" for name in names]) + ")"
 
 
 class Sequent(_Record):

@@ -30,14 +30,13 @@ computes the same one again.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .checker import assert_valid_derivation
 from .formula import (
     ATOM, OVER, PROD, UNDER,
     Atom, Derivation, Formula, FragmentError, LambekError, Over, Prod,
-    Sequent, Under, VarSupply, curried_division, division_pure,
+    Sequent, Under, VarSupply, _Record, curried_division, division_pure,
     sequence_image,
 )
 from .prover import DEFAULT_BUDGET, ProverSession, _session_for, prove
@@ -249,18 +248,20 @@ def optionalize(f: Formula, *, budget: int = DEFAULT_BUDGET,
 # --------------------------------------------------------------------------
 # the join itself
 
-@dataclass(frozen=True)
-class JoinProblem:
-    """A family of formula sequences plus names the synthesis may burn."""
+class JoinProblem(_Record):
+    """A family of formula sequences plus names the synthesis may burn;
+    a plain slot record, immutable by contract.  Both fields are stored
+    as tuples whatever sequences they are given as."""
+
+    __slots__ = ("inputs", "variable_budget")
 
     inputs: tuple[tuple[Formula, ...], ...]
-    variable_budget: tuple[str, ...] = ()
+    variable_budget: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "inputs",
-                           tuple(tuple(row) for row in self.inputs))
-        object.__setattr__(self, "variable_budget",
-                           tuple(self.variable_budget))
+    def __init__(self, inputs: Iterable[Sequence[Formula]],
+                 variable_budget: Iterable[str] = ()):
+        self.inputs = tuple([tuple(row) for row in inputs])
+        self.variable_budget = tuple(variable_budget)
         if not self.inputs:
             raise ValueError("a join needs at least one input sequence")
         for row in self.inputs:
@@ -268,13 +269,21 @@ class JoinProblem:
                 _check_language(f)
 
 
-@dataclass(frozen=True)
-class JoinCertificate:
-    """A verified join: one witness derivation per input sequence."""
+class JoinCertificate(_Record):
+    """A verified join: one witness derivation per input sequence; a plain
+    slot record, immutable by contract."""
+
+    __slots__ = ("problem", "join", "witnesses")
 
     problem: JoinProblem
     join: Formula
     witnesses: tuple[Derivation, ...]
+
+    def __init__(self, problem: JoinProblem, join: Formula,
+                 witnesses: tuple[Derivation, ...]):
+        self.problem = problem
+        self.join = join
+        self.witnesses = witnesses
 
 
 def _align(row: tuple[Formula, ...],

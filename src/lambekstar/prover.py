@@ -21,7 +21,6 @@ beyond the formula terms themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
 
@@ -495,16 +494,26 @@ def naive_prove(sequent: Sequent, *, restricted: bool = False,
 # --------------------------------------------------------------------------
 # recording hooks: audit every Proved result of a run
 
-@dataclass
-class ProofRecorder:
+class ProofRecorder(_Record):
     """Collects every Proved result and audits it on the spot: the
     derivation must check out against the rule schemas and, inside the
-    ·,\\,/,1 fragment, the free-group images of the two sides must agree."""
+    ·,\\,/,1 fragment, the free-group images of the two sides must agree.
+    A mutable slot record: its counts grow, so it has no hash."""
 
-    proved: int = 0
-    audited: int = 0
-    fg_checked: int = 0
-    violations: list = field(default_factory=list)
+    __slots__ = ("proved", "audited", "fg_checked", "violations")
+    __hash__ = None
+
+    proved: int
+    audited: int
+    fg_checked: int
+    violations: list
+
+    def __init__(self, proved: int = 0, audited: int = 0,
+                 fg_checked: int = 0, violations: list | None = None):
+        self.proved = proved
+        self.audited = audited
+        self.fg_checked = fg_checked
+        self.violations = [] if violations is None else violations
 
     def observe(self, sequent: Sequent, derivation: Derivation,
                 restricted: bool) -> None:

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from typing import Iterator, Literal, Sequence
 
 from .cfg import Grammar, GnfCfg, GrammarError, cyk_member, render_cfg, to_gnf2
 from .compiler import (CompiledGrammar, LambekGrammar, accepts,
                        compile_gaifman, compile_unique)
 from .formula import (Atom, And, Formula, LambekError, Or, Over, Plus, Prod,
-                      Sequent, Star, VarSupply, curried_division,
+                      Sequent, Star, VarSupply, _Record, curried_division,
                       render_sequent)
 from .prover import DEFAULT_BUDGET, ProverSession, _session_for, prove
 
@@ -44,19 +43,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RefutationWitness:
+class RefutationWitness(_Record):
     """An alternation word jointly rejected by CYK and the prover.
 
     ``sequent`` is the refuted instance ``K1^n1, K2^m1, ... -> H`` (an
     instance of the ALT2 antecedent by construction); ``word`` is the
     alternation word it encodes, which CYK also rejects; ``note`` records
-    the exhaustive-search evidence.
+    the exhaustive-search evidence.  A plain slot record, immutable by
+    contract.
     """
+
+    __slots__ = ("word", "sequent", "note")
 
     word: tuple[str, ...]
     sequent: Sequent
     note: str
+
+    def __init__(self, word: tuple[str, ...], sequent: Sequent, note: str):
+        self.word = word
+        self.sequent = sequent
+        self.note = note
 
 
 def alt2_sequent(cg: CompiledGrammar) -> Sequent:
@@ -132,9 +138,12 @@ def refute_alt2(g: Grammar, word_len_bound: int = 6, *,
     return None
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Per-word comparison of CYK membership and prover acceptance."""
+class EquivalenceReport(_Record):
+    """Per-word comparison of CYK membership and prover acceptance; a
+    plain slot record, immutable by contract."""
+
+    __slots__ = ("grammar", "method", "max_len", "results", "mismatches",
+                 "elapsed", "error")
 
     grammar: str
     method: str
@@ -142,7 +151,19 @@ class EquivalenceReport:
     results: tuple[tuple[str, bool, bool], ...]
     mismatches: tuple[str, ...]
     elapsed: float
-    error: str | None = None
+    error: str | None
+
+    def __init__(self, grammar: str, method: str, max_len: int,
+                 results: tuple[tuple[str, bool, bool], ...],
+                 mismatches: tuple[str, ...], elapsed: float,
+                 error: str | None = None):
+        self.grammar = grammar
+        self.method = method
+        self.max_len = max_len
+        self.results = results
+        self.mismatches = mismatches
+        self.elapsed = elapsed
+        self.error = error
 
     @property
     def ok(self) -> bool:
@@ -218,15 +239,29 @@ def vee_elimination_chain(a1: Formula, a2: Formula,
     )
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    """Bounded-instance agreement data for the reformulation probe."""
+_PROBE_NOTE = (
+    "experimental bounded-instance comparison; per-instance agreement "
+    "is evidence only and implies nothing beyond the tested bound")
+
+
+class ProbeReport(_Record):
+    """Bounded-instance agreement data for the reformulation probe; a
+    plain slot record, immutable by contract."""
+
+    __slots__ = ("rows", "disagreements", "note")
 
     rows: tuple[tuple[tuple[tuple[int, int], ...], bool, bool], ...]
     disagreements: tuple[tuple[tuple[int, int], ...], ...]
-    note: str = field(default=(
-        "experimental bounded-instance comparison; per-instance agreement "
-        "is evidence only and implies nothing beyond the tested bound"))
+    note: str
+
+    def __init__(self,
+                 rows: tuple[tuple[tuple[tuple[int, int], ...], bool, bool],
+                             ...],
+                 disagreements: tuple[tuple[tuple[int, int], ...], ...],
+                 note: str = _PROBE_NOTE):
+        self.rows = rows
+        self.disagreements = disagreements
+        self.note = note
 
     @property
     def agree(self) -> bool:

@@ -24,14 +24,14 @@ reports that no counterexample exists within the bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .checker import assert_valid_derivation
 from .formula import (
     ATOM, OVER, PLUS, PROD, STAR, UNDER,
     Derivation, Formula, FragmentError, LambekError, Or, Prod, Sequent,
-    Star, Unit, _rebuild, division_pure, render_formula, render_sequent,
+    Star, Unit, _Record, _rebuild, division_pure, render_formula,
+    render_sequent,
 )
 from .prover import (DEFAULT_BUDGET, ProverSession, _session_for,
                      normalize_plus, prove)
@@ -96,13 +96,21 @@ def approximate(s: Sequent, n: int) -> Sequent:
     return Sequent(ante, succ)
 
 
-@dataclass(frozen=True)
-class ApproximationOutcome:
-    """Result of scanning approximation levels ``0..up_to``."""
+class ApproximationOutcome(_Record):
+    """Result of scanning approximation levels ``0..up_to``; a plain slot
+    record, immutable by contract."""
+
+    __slots__ = ("refuted", "level", "sequent")
 
     refuted: bool
     level: int | None
     sequent: Sequent | None
+
+    def __init__(self, refuted: bool, level: int | None,
+                 sequent: Sequent | None):
+        self.refuted = refuted
+        self.level = level
+        self.sequent = sequent
 
     @property
     def verdict(self) -> str:
@@ -193,12 +201,18 @@ def instances(f: Formula, bound: int) -> tuple[tuple[Formula, ...], ...]:
     return _inst(f, bound, {})
 
 
-@dataclass(frozen=True)
-class InstanceOutcome:
-    """Result of scanning the bounded instances of a sequent."""
+class InstanceOutcome(_Record):
+    """Result of scanning the bounded instances of a sequent; a plain slot
+    record, immutable by contract."""
+
+    __slots__ = ("refuted", "witness")
 
     refuted: bool
     witness: Sequent | None
+
+    def __init__(self, refuted: bool, witness: Sequent | None):
+        self.refuted = refuted
+        self.witness = witness
 
     @property
     def verdict(self) -> str:

@@ -296,6 +296,24 @@ class TestFreeGroup:
     def test_sequence_image_concatenates(self):
         assert sequence_image((p, Under(p, q))) == fg_interp(q)
 
+    def test_images_share_their_letters(self):
+        # one object per letter, whichever formula's image holds it
+        pos, neg = fg_interp(p).letters[0], fg_interp(Under(p, q)).letters[0]
+        assert pos == ("p", 1) and neg == ("p", -1)
+        assert fg_interp(Over(q, p)).letters[1] is neg
+        assert fg_interp(Under(Under(p, q), r)).letters[1] is pos
+        assert GroupWord((("p", 1),)).inverse().letters[0] is neg
+
+    def test_inverse_of_a_letter_never_interned(self):
+        from lambekstar import formula
+        name = "never_interned_letter"
+        assert (name, 1) not in formula._INV
+        w = GroupWord(((name, 1), ("p", -1)))
+        assert w.inverse() == GroupWord((("p", 1), (name, -1)))
+        assert w * w.inverse() == GroupWord()
+        assert str(w.inverse()) == f"p {name}^-1"
+        assert (name, 1) not in formula._INV
+
     def test_zero_balanced(self):
         assert zero_balanced(Over(p, p))
         assert zero_balanced(sentinel("p", "q", "r"))

@@ -526,17 +526,16 @@ class TestCertificates:
     def test_checker_visits_shared_nodes_once(self, monkeypatch):
         from lambekstar import checker
         calls = []
-        check = checker._check
-
-        def counted(d, restricted, seen):
-            calls.append(d)
-            check(d, restricted, seen)
-        monkeypatch.setattr(checker, "_check", counted)
+        for rule in ("Ax", "->."):
+            def counted(d, _check=checker._CHECKERS[rule]):
+                calls.append(d)
+                _check(d)
+            monkeypatch.setitem(checker._CHECKERS, rule, counted)
         k = 16
         good = self.shared_tower(Derivation("Ax", Sequent((p,), p)), k)
         assert check_derivation(good)
-        assert len({id(d) for d in calls}) == k + 1
-        assert len(calls) <= 2 * k + 1   # one revisit per shared premise
+        # each of the k + 1 distinct nodes is checked exactly once
+        assert len({id(d) for d in calls}) == len(calls) == k + 1
         bad = self.shared_tower(Derivation("Ax", Sequent((p,), q)), k)
         assert not check_derivation(bad)
         with pytest.raises(CertificateError, match="axiom antecedent"):
@@ -567,6 +566,92 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="concatenate"):
             assert_valid_derivation(good, bad)
         assert len(axioms) == 3
+
+    RECOMBINATION = ("conclusion is not the rule's recombination of the "
+                     "premises")
+
+    @staticmethod
+    def two_premise(rule, conclusion, left, right):
+        """A ``rule`` node over the axioms ``left -> left`` and
+        ``right -> right``, concluding the text ``conclusion``."""
+        return Derivation(rule, parse_sequent(conclusion), (
+            Derivation("Ax", Sequent((left,), left)),
+            Derivation("Ax", Sequent((right,), right))))
+
+    @pytest.mark.parametrize("rule, good, forged", [
+        ("\\->", "p, p\\q -> q",
+         ["p\\q, p -> q", "p, r\\q -> q", "p, p\\r -> q", "p\\q -> q",
+          "p, p, p\\q -> q", "p, p\\q, q -> q"]),
+        ("/->", "q/p, p -> q",
+         ["p, q/p -> q", "q/r, p -> q", "r/p, p -> q", "q/p -> q",
+          "q/p, p, p -> q", "q, q/p, p -> q"]),
+    ])
+    def test_checker_rejects_forged_division_nodes(self, rule, good,
+                                                   forged):
+        assert check_derivation(self.two_premise(rule, good, p, q))
+        for text in forged:
+            d = self.two_premise(rule, text, p, q)
+            assert not check_derivation(d)
+            with pytest.raises(CertificateError) as e:
+                assert_valid_derivation(d)
+            assert str(e.value) == \
+                f"bad [{rule}] node at {text}: {self.RECOMBINATION}"
+
+    def test_checker_rejects_forged_product_nodes(self):
+        prem = prove(parse_sequent("r, p, q -> r.(p.q)")).derivation
+        good = Derivation(".->", parse_sequent("r, p.q -> r.(p.q)"),
+                          (prem,))
+        assert check_derivation(good)
+        for text in ("p.q, r -> r.(p.q)", "r, q.p -> r.(p.q)",
+                     "r, p.r -> r.(p.q)", "r -> r.(p.q)",
+                     "r, p.q, q -> r.(p.q)"):
+            d = Derivation(".->", parse_sequent(text), (prem,))
+            assert not check_derivation(d)
+            with pytest.raises(CertificateError) as e:
+                assert_valid_derivation(d)
+            assert str(e.value) == (
+                f"bad [.->] node at {text}: conclusion does not fuse two "
+                "adjacent premise formulas")
+
+    def test_checking_join_witnesses_interns_nothing(self, monkeypatch):
+        from lambekstar import compile_unique, formula, parse_cfg, to_gnf2
+        cg = compile_unique(to_gnf2(parse_cfg("S -> a S | b S | a | b")))
+        witnesses = [w for parts in cg.parts.values()
+                     for cert in (parts.f, parts.g) for w in cert.witnesses]
+        assert witnesses
+        interned = []
+        intern = formula._intern
+
+        def counted(*args):
+            interned.append(args)
+            return intern(*args)
+        monkeypatch.setattr(formula, "_intern", counted)
+        before = len(formula._table)
+        assert_valid_derivation(*witnesses)
+        assert interned == [] and len(formula._table) == before
+
+    @staticmethod
+    def over_chain(bottom: Derivation, depth: int) -> Derivation:
+        """``/->`` nodes ``depth`` deep over ``bottom``, concluding
+        ``p/p, ..., p/p, Π -> p`` when ``bottom`` is ``Π -> p``."""
+        ax = Derivation("Ax", Sequent((p,), p))
+        pp = Over(p, p)
+        d = bottom
+        for _ in range(depth):
+            d = Derivation("/->", Sequent((pp,) + d.conclusion.antecedent, p),
+                           (d, ax))
+        return d
+
+    def test_checker_handles_deep_derivations(self):
+        deep = self.over_chain(Derivation("Ax", Sequent((p,), p)), 3000)
+        assert len(deep.conclusion.antecedent) == 3001
+        assert check_derivation(deep)
+        forged = self.over_chain(Derivation("Ax", Sequent((q,), p)), 3000)
+        assert not check_derivation(forged)
+        with pytest.raises(CertificateError) as e:
+            assert_valid_derivation(forged)
+        assert str(e.value) == ("bad [Ax] node at q -> p: axiom antecedent "
+                                "must be exactly the succedent atom")
 
     def test_checker_restricted_rejects_empty_antecedents(self):
         d = prove(parse_sequent("-> p/p")).derivation

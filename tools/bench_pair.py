@@ -19,9 +19,17 @@ fresh checkouts without bytecode caches.  Then, in each checkout:
   ``total_plus_to_alt2(S -> a S | b S | a | b)`` to lengths 4, 6 and 8, in
   a fresh process and session, compile included, two rounds alternating
   sides;
+* ``import lambekstar`` in a fresh interpreter, 15 times per side,
+  alternating sides: the import's seconds (median and minimum per side),
+  the modules it adds to ``sys.modules`` (outside the package itself),
+  the peak RSS after it (``VmHWM``) and the RSS the import adds
+  (``VmRSS`` after minus before).  These are read from
+  ``/proc/self/status``, not from ``ru_maxrss``, because Linux keeps
+  ``ru_maxrss`` across ``execve``: a fresh interpreter would report this
+  script's own peak whenever that is the larger;
 * ``compile_unique`` of the grammar ``S -> A S b | b; A -> a A | ``
-  (unique types of 1,879 and 3,379 nodes), once per side, in a fresh
-  process;
+  (unique types of 1,879 and 3,379 nodes), 3 alternating pairs, each run
+  in a fresh process, with each side's median seconds and peak RSS;
 * ``parse_formula`` of the 2,000-deep ``p\\p\\...\\p``, then
   ``render_formula`` of the parsed chain, once per side, in a fresh
   process, recording each one's seconds or, when it raises, the
@@ -36,20 +44,22 @@ fresh checkouts without bytecode caches.  Then, in each checkout:
   two classes' ``__init__`` in that process only;
 * ``equivalence_harness(g, "safiullin", 3)`` on the grammar
   ``random_epsfree_grammar(random.Random(14), max_nonterminals=3,
-  max_rules=5)`` of ``tests/helpers.py``, once per side, in a fresh
-  process;
+  max_rules=5)`` of ``tests/helpers.py``, 3 alternating pairs, each run
+  in a fresh process, with each side's median seconds and peak RSS;
 * the tier-1 tests, once per side.
 
-Peak RSS of the one-off runs is ``ru_maxrss`` of the process that ran
-them.  The file is rewritten after every run, so an interrupted session
-leaves what it measured.  Summaries give, per workload and end-to-end
-metric, each side's median and quartiles (inclusive method), the ratio of
-medians, the pairs the change wins (ties count for neither side), the gap
-between the medians and the parent's quartile spread; the end-to-end
-metrics go in ``summary`` and the per-layer ones of the traced runs in
-``traced_summary`` (a ratio is null where the parent's median is 0, a
-layer the workload does not reach).  Nothing under
-``perfbench/`` and no part of ``BENCHMARK.json`` is changed.
+Peak RSS of the other one-off runs is ``ru_maxrss`` of the process that
+ran them; it cannot read below this script's own peak RSS at the time,
+for the reason above.  The file is rewritten after every run, so an
+interrupted session leaves what it measured.  Summaries give, per
+workload and end-to-end metric, each side's median and quartiles
+(inclusive method), the ratio of medians, the pairs the change wins (ties
+count for neither side), the gap between the medians and the parent's
+quartile spread; the end-to-end metrics go in ``summary`` and the
+per-layer ones of the traced runs in ``traced_summary`` (a ratio is null
+where the parent's median is 0, a layer the workload does not reach).
+Nothing under ``perfbench/`` and no part of ``BENCHMARK.json`` is
+changed.
 """
 
 from __future__ import annotations
@@ -72,6 +82,8 @@ SIDES = ("parent", "change")
 BOUNDS = (4, 6, 8)
 ROUNDS = 2
 SEEDS = 10
+IMPORT_RUNS = 15
+ONE_OFF_PAIRS = 3
 
 UNIVERSAL = """
 import json, resource, time
@@ -103,6 +115,28 @@ print(json.dumps({
     "memo_entries": len(session.memo),
     "peak_rss_mb": round(resource.getrusage(
         resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))
+"""
+
+IMPORT_COST = """
+import json, sys, time
+
+def status_mb(field):
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith(field + ":"):
+                return int(line.split()[1]) / 1024
+
+before = set(sys.modules)
+rss0 = status_mb("VmRSS")
+t0 = time.perf_counter()
+import lambekstar
+seconds = time.perf_counter() - t0
+print(json.dumps({
+    "seconds": seconds,
+    "added_modules": sorted(m for m in set(sys.modules) - before
+                            if m.split(".")[0] != "lambekstar"),
+    "rss_mb": round(status_mb("VmHWM"), 2),
+    "added_rss_mb": round(status_mb("VmRSS") - rss0, 2)}))
 """
 
 DEEP_PARSE = """
@@ -282,6 +316,16 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def side_medians(runs: list[dict], keys: tuple[str, ...]) -> dict:
+    """Per side, the median of each key over the runs that have it."""
+    out: dict = {}
+    for side in SIDES:
+        mine = [r for r in runs if r["side"] == side]
+        out[side] = {k: statistics.median([r[k] for r in mine if k in r])
+                     for k in keys if any(k in r for r in mine)}
+    return out
+
+
 def stamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
@@ -322,11 +366,18 @@ def main() -> int:
                     ", bound) in a fresh process and session, compile "
                     f"included; {ROUNDS} rounds, alternating sides",
             "runs": []},
+        "import_cost": {
+            "what": "import lambekstar in a fresh interpreter: seconds, "
+                    "the modules it adds outside the package, peak RSS "
+                    "after it (VmHWM) and the RSS it adds (VmRSS); "
+                    f"{IMPORT_RUNS} runs per side, alternating sides, "
+                    "parent first",
+            "runs": [], "medians": {}, "minimum_seconds": {}},
         "compile_large_grammar": {
             "what": "compile_unique(to_gnf2(S -> A S b | b; A -> a A | )) "
-                    "in a fresh process and session; one run per side, "
-                    "parent first",
-            "runs": []},
+                    f"in a fresh process and session; {ONE_OFF_PAIRS} "
+                    "alternating pairs, parent first in odd pairs",
+            "runs": [], "medians": {}},
         "deep_parse": {
             "what": "parse_formula, then render_formula, of the 2,000-deep "
                     "p\\p\\...\\p in a fresh process: seconds, or the "
@@ -342,9 +393,9 @@ def main() -> int:
         "equivalence_harness_large_grammar": {
             "what": "equivalence_harness(random_epsfree_grammar("
                     "random.Random(14), max_nonterminals=3, max_rules=5), "
-                    "'safiullin', 3) in a fresh process; one run per side, "
-                    "parent first",
-            "runs": []},
+                    f"'safiullin', 3) in a fresh process; {ONE_OFF_PAIRS} "
+                    "alternating pairs, parent first in odd pairs",
+            "runs": [], "medians": {}},
         "tier1": {"what": "python -B -m pytest -q -p no:cacheprovider "
                           "--continue-on-collection-errors in each checkout, "
                           "pytest's reported time; parent first",
@@ -385,10 +436,25 @@ def main() -> int:
                     doc["universal_grammar"]["runs"].append(
                         {**res, "side": side})
                     save()
-        for side in SIDES:
-            res = snippet(trees[side], COMPILE)
-            doc["compile_large_grammar"]["runs"].append({**res, "side": side})
-            save()
+        def alternating(key: str, code: str, pairs: int,
+                        medians: tuple[str, ...]) -> None:
+            entry = doc[key]
+            for rnd in range(pairs):
+                for side in (SIDES if rnd % 2 == 0 else SIDES[::-1]):
+                    entry["runs"].append({**snippet(trees[side], code),
+                                          "side": side})
+                    entry["medians"] = side_medians(entry["runs"], medians)
+                    save()
+
+        alternating("import_cost", IMPORT_COST, IMPORT_RUNS,
+                    ("seconds", "rss_mb", "added_rss_mb"))
+        doc["import_cost"]["minimum_seconds"] = {
+            side: min((r["seconds"] for r in doc["import_cost"]["runs"]
+                       if r["side"] == side and "seconds" in r), default=None)
+            for side in SIDES}
+        save()
+        alternating("compile_large_grammar", COMPILE, ONE_OFF_PAIRS,
+                    ("seconds", "peak_rss_mb"))
         for side in SIDES:
             res = snippet(trees[side], DEEP_PARSE)
             doc["deep_parse"]["runs"].append({**res, "side": side})
@@ -397,11 +463,9 @@ def main() -> int:
             res = snippet(trees[side], SMALL_CALLS)
             doc["small_calls"]["runs"].append({**res, "side": side})
             save()
+        alternating("equivalence_harness_large_grammar", EQUIVALENCE,
+                    ONE_OFF_PAIRS, ("seconds", "peak_rss_mb"))
         for side in SIDES:
-            res = snippet(trees[side], EQUIVALENCE)
-            doc["equivalence_harness_large_grammar"]["runs"].append(
-                {**res, "side": side})
-            save()
             doc["tier1"]["runs"].append({"side": side,
                                          **tier1(trees[side])})
             save()
