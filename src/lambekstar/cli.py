@@ -437,9 +437,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"budget exhausted: {e} (raise --budget)", file=sys.stderr)
         return 3
     except RecursionError:
-        # the parser and the renderer keep explicit stacks; only the
-        # checker and the kernel still recurse, once per nesting level or
-        # formula
+        # the parser, the renderers and the checker keep explicit stacks;
+        # the search engines, the polarity rewrite at prove entry, the
+        # instance tools and the --json derivation record still recurse,
+        # once per nesting level or formula
         print("error: input too deep or too long", file=sys.stderr)
         return 2
     except (LambekError, OSError) as e:

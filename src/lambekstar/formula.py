@@ -63,8 +63,6 @@ __all__ = [
 
 ATOM, UNIT, UNDER, OVER, PROD, STAR, PLUS, OR, AND = range(9)
 
-_KIND_NAMES = ("atom", "1", "\\", "/", ".", "^*", "^+", "|", "&")
-
 
 class LambekError(Exception):
     """Base class for errors raised by this package."""
@@ -433,9 +431,17 @@ class Derivation(_Record):
 
 
 def render_derivation(d: Derivation, indent: int = 0) -> str:
-    lines = [f"{'  ' * indent}[{d.rule}] {render_sequent(d.conclusion)}"]
-    for p in d.premises:
-        lines.append(render_derivation(p, indent + 1))
+    """One line ``[rule] conclusion`` per node, each premise below its
+    conclusion and one step further in.  The nodes still to write wait on
+    an explicit stack, so depth is bounded by memory alone."""
+    lines = []
+    todo = [(d, indent)]
+    while todo:
+        d, indent = todo.pop()
+        lines.append(f"{'  ' * indent}[{d.rule}] "
+                     f"{render_sequent(d.conclusion)}")
+        # pushed in reverse: the first premise is written first
+        todo += [(p, indent + 1) for p in reversed(d.premises)]
     return "\n".join(lines)
 
 

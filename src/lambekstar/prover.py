@@ -22,14 +22,14 @@ beyond the formula terms themselves.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import _search
 from .checker import assert_valid_derivation, check_derivation
 from .formula import (
     ATOM, UNIT, UNDER, OVER, PROD, STAR, PLUS, OR, AND,
     BudgetError, CertificateError, Derivation, Formula, FragmentError,
-    GroupWord, Prod, Sequent, Star, Unit, _Record, _rebuild, _truth,
+    Prod, Sequent, Star, _Record, _rebuild, _truth, fg_interp,
     render_formula, render_sequent, sequence_image,
 )
 
@@ -94,53 +94,51 @@ def _session_for(session: ProverSession | None,
 # --------------------------------------------------------------------------
 # entry normalisation and fragment checks
 
+def _polar(f: Formula, positive: bool,
+           negative_star: Callable[[Formula], Formula],
+           memo: dict) -> Formula:
+    """``f`` rebuilt bottom-up with every ``A^+`` read as ``A.A^*`` and
+    every ``A^*`` in negative position replaced by ``negative_star(A)``,
+    ``A`` already rewritten; ``positive`` is the polarity of ``f`` itself.
+    ``\\`` flips its left argument and ``/`` its right.  Subformulas
+    without ``^*`` or ``^+`` come back as they are, and ``memo`` keeps
+    each (subformula, polarity) done, so shared structure is paid once."""
+    if not f.kinds & _ITER:
+        return f
+    key = (f, positive)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    k = f.kind
+    if k == STAR or k == PLUS:
+        a = _polar(f.left, positive, negative_star, memo)
+        out = Star(a) if positive else negative_star(a)
+        if k == PLUS:
+            out = Prod(a, out)
+    else:
+        out = _rebuild(
+            f, _polar(f.left, positive ^ (k == UNDER), negative_star, memo),
+            _polar(f.right, positive ^ (k == OVER), negative_star, memo))
+    memo[key] = out
+    return out
+
+
 def normalize_plus(f: Formula) -> Formula:
     """Rewrite every ``A^+`` subformula to ``A.A^*`` (shared-structure safe)."""
     if not f.kinds & 1 << PLUS:
         return f
-    if f.kind == PLUS:
-        a = normalize_plus(f.left)
-        return Prod(a, Star(a))
-    left = normalize_plus(f.left)
-    right = normalize_plus(f.right) if f.right is not None else None
-    return _rebuild(f, left, right)
+    return _polar(f, True, Star, {})
 
 
-def _scan(f: Formula, positive: bool, restricted: bool) -> None:
-    if not f.kinds & (1 << UNIT | 1 << STAR | 1 << PLUS):
-        return
-    k = f.kind
-    if k == UNIT:
-        if restricted:
-            raise FragmentError(
-                "the unit is not part of the calculus under Lambek's "
-                "restriction")
-        return
-    if k in (STAR, PLUS):
-        if restricted:
-            raise FragmentError(
-                "iteration under Lambek's restriction is not supported by "
-                "this prover (its rules fall outside the derivation "
-                "vocabulary)")
-        if not positive:
-            raise FragmentError(
-                f"{render_formula(f)} occurs in negative position; the "
-                "left iteration rule is an ω-rule and cannot be searched")
-        _scan(f.left, positive, restricted)
-        return
-    if k == UNDER:
-        _scan(f.left, not positive, restricted)
-        _scan(f.right, positive, restricted)
-    elif k == OVER:
-        _scan(f.left, positive, restricted)
-        _scan(f.right, not positive, restricted)
-    else:  # PROD, OR, AND are covariant in both arguments
-        _scan(f.left, positive, restricted)
-        _scan(f.right, positive, restricted)
+def _refuse_star(a: Formula) -> Formula:
+    raise FragmentError(
+        f"{render_formula(Star(a))} occurs in negative position; the left "
+        "iteration rule is an ω-rule and cannot be searched")
 
 
 _DIVISION = 1 << ATOM | 1 << UNDER | 1 << OVER
-_SPECIAL = 1 << UNIT | 1 << STAR | 1 << PLUS     # what _scan looks for
+_ITER = 1 << STAR | 1 << PLUS
+_SPECIAL = 1 << UNIT | _ITER     # refused under Lambek's restriction
 
 
 def _kinds(sequent: Sequent) -> int:
@@ -154,21 +152,25 @@ def _kinds(sequent: Sequent) -> int:
 def _prepare(sequent: Sequent, restricted: bool, kinds: int) -> Sequent:
     """The sequent the engines search and the certificate concludes:
     ``A^+`` rewritten to ``A.A^*``, the fragment checked, the antecedent a
-    tuple.  ``kinds`` is :func:`_kinds` of ``sequent``; without ``1``,
-    ``^*`` and ``^+`` both walks are no-ops and are skipped.  The caller's
-    own sequent comes back when nothing changes."""
+    tuple.  ``kinds`` is :func:`_kinds` of ``sequent``: it alone refuses
+    the unit and iteration under Lambek's restriction, and without ``^*``
+    or ``^+`` no formula is walked.  The caller's own sequent comes back
+    when nothing changes."""
+    if restricted and kinds & _SPECIAL:
+        raise FragmentError(
+            "iteration under Lambek's restriction is not supported by this "
+            "prover (its rules fall outside the derivation vocabulary)"
+            if kinds & _ITER else
+            "the unit is not part of the calculus under Lambek's restriction")
     ant = sequent.antecedent
     succ = sequent.succedent
-    if kinds & _SPECIAL:
-        if kinds & 1 << PLUS:
-            ant = tuple(normalize_plus(a) for a in ant)
-            succ = normalize_plus(succ)
-        for a in ant:
-            _scan(a, False, restricted)
-        _scan(succ, True, restricted)
+    if kinds & _ITER:
+        memo: dict = {}
+        ant = tuple([_polar(a, False, _refuse_star, memo) for a in ant])
+        succ = _polar(succ, True, _refuse_star, memo)
     if ant.__class__ is not tuple:
         ant = tuple(ant)
-    elif ant is sequent.antecedent and succ is sequent.succedent:
+    elif ant == sequent.antecedent and succ is sequent.succedent:
         return sequent
     return Sequent(ant, succ)
 
@@ -181,12 +183,12 @@ def prove(sequent: Sequent, *, restricted: bool = False,
           budget: int = DEFAULT_BUDGET) -> ProofResult:
     """Decide a sequent, producing a derivation certificate when provable.
 
-    One fold of ``kinds`` over the sequent decides both the entry walks
-    and the engine: without ``1``, ``^*`` or ``^+`` the normalisation and
-    fragment walks are skipped, and a sequent of atoms, ``\\`` and ``/``
-    alone goes to the focused kernel, anything else to the general engine.
-    ``A^+`` is normalised to ``A.A^*`` first, so the certificate's
-    sequents mention only ``^*``.  Raises
+    One fold of ``kinds`` over the sequent decides both the entry walk
+    and the engine: without ``^*`` or ``^+`` no formula is walked, and a
+    sequent of atoms, ``\\`` and ``/`` alone goes to the focused kernel,
+    anything else to the general engine.  The one walk normalises ``A^+``
+    to ``A.A^*``, so the certificate's sequents mention only ``^*``, and
+    refuses stars in negative position.  Raises
     :class:`BudgetError` after ``budget`` expansion steps, which still count
     in ``session.steps_used``; the session stays sound, because the memo
     only ever holds finished results.
@@ -530,12 +532,11 @@ class ProofRecorder(_Record):
             self.violations.append(str(e))
         try:
             lhs = sequence_image(sequent.antecedent)
+            rhs = fg_interp(sequent.succedent)
         except FragmentError:
             return
-        if sequent.succedent.fgw is None:
-            return
         self.fg_checked += 1
-        if lhs != GroupWord(sequent.succedent.fgw):
+        if lhs != rhs:
             self.violations.append(
                 f"free-group images differ for proved sequent "
                 f"{render_sequent(sequent)}")

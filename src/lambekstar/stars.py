@@ -24,16 +24,16 @@ reports that no counterexample exists within the bound.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Sequence
 
 from .checker import assert_valid_derivation
 from .formula import (
     ATOM, OVER, PLUS, PROD, STAR, UNDER,
     Derivation, Formula, FragmentError, LambekError, Or, Prod, Sequent,
-    Star, Unit, _Record, _rebuild, division_pure, render_formula,
-    render_sequent,
+    Unit, _Record, division_pure, render_formula, render_sequent,
 )
-from .prover import (DEFAULT_BUDGET, ProverSession, _session_for,
+from .prover import (DEFAULT_BUDGET, ProverSession, _polar, _session_for,
                      normalize_plus, prove)
 
 __all__ = [
@@ -65,35 +65,19 @@ def _bounded_power(a: Formula, n: int) -> Formula:
     return out
 
 
-def _approx(f: Formula, n: int, positive: bool) -> Formula:
-    if not f.kinds & 1 << STAR:
-        return f
-    kind = f.kind
-    if kind == STAR:
-        inner = _approx(f.left, n, positive)
-        return Star(inner) if positive else _bounded_power(inner, n)
-    if kind == UNDER:
-        return _rebuild(f, _approx(f.left, n, not positive),
-                        _approx(f.right, n, positive))
-    if kind == OVER:
-        return _rebuild(f, _approx(f.left, n, positive),
-                        _approx(f.right, n, not positive))
-    left = _approx(f.left, n, positive)
-    right = _approx(f.right, n, positive) if f.right is not None else None
-    return _rebuild(f, left, right)
-
-
 def approximate(s: Sequent, n: int) -> Sequent:
     """The n-th approximation: negative stars become ``1 v A v ... v A^n``.
 
-    ``A^+`` is first normalized to ``A.A^*``.  The result has stars only in
-    positive positions, so the prover's positive-star rule suffices for it.
+    ``A^+`` is read as ``A.A^*`` in the same walk.  The result has stars
+    only in positive positions, so the prover's positive-star rule
+    suffices for it.
     """
     if n < 0:
         raise ValueError("approximation depth must be >= 0")
-    ante = tuple(_approx(normalize_plus(f), n, False) for f in s.antecedent)
-    succ = _approx(normalize_plus(s.succedent), n, True)
-    return Sequent(ante, succ)
+    power = partial(_bounded_power, n=n)
+    memo: dict = {}
+    ante = tuple([_polar(f, False, power, memo) for f in s.antecedent])
+    return Sequent(ante, _polar(s.succedent, True, power, memo))
 
 
 class ApproximationOutcome(_Record):

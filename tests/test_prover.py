@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from lambekstar import (And, Atom, BudgetError, CertificateError,
                         FragmentError, Or, Over, Plus, Prod, ProofResult,
                         ProverSession,
-                        Sequent, Star, Under, Unit, check_derivation,
-                        fg_interp,
+                        Sequent, Star, Under, Unit, approximate,
+                        check_derivation, cli, fg_interp,
                         kernel_backend, naive_prove, normalize_plus,
                         parse_sequent, prove, prove_focused,
                         render_derivation, render_sequent, sequence_image,
@@ -40,6 +41,15 @@ def rules_of(d: Derivation) -> set[str]:
 
 # --------------------------------------------------------------------------
 # pinned verdicts
+
+UNIT_REFUSED = ("the unit is not part of the calculus under Lambek's "
+                "restriction")
+ITERATION_REFUSED = ("iteration under Lambek's restriction is not supported "
+                     "by this prover (its rules fall outside the derivation "
+                     "vocabulary)")
+NEGATIVE_STAR = ("occurs in negative position; the left iteration rule is "
+                 "an ω-rule and cannot be searched")
+
 
 class TestPins:
     def test_unrestricted_pins(self):
@@ -100,6 +110,27 @@ class TestPins:
         assert prove(parse_sequent("p^*\\q -> q")).proved
         assert prove(parse_sequent("q/p^*, p -> q")).proved
         assert not prove(parse_sequent("q/(p.p^*), q -> q")).proved
+
+    @pytest.mark.parametrize("text,restricted,message", [
+        ("1 -> p/p", True, UNIT_REFUSED),
+        ("p -> p^*", True, ITERATION_REFUSED),
+        ("p^+, p -> p", True, ITERATION_REFUSED),
+        # both: the iteration message, whatever comes first
+        ("1, p^* -> p", True, ITERATION_REFUSED),
+        ("p^* -> p", False, "p^* " + NEGATIVE_STAR),
+        # A^+ reads A.A^*, so the star is the one named
+        ("q -> q/p^+", False, "p^* " + NEGATIVE_STAR),
+        # nested negative stars: the innermost is named
+        ("(p^*)^* -> p", False, "p^* " + NEGATIVE_STAR),
+    ])
+    def test_fragment_error_texts(self, text, restricted, message, capsys):
+        with pytest.raises(FragmentError) as e:
+            prove(parse_sequent(text), restricted=restricted)
+        assert str(e.value) == message
+        argv = ["prove", "--restrict", text] if restricted \
+            else ["prove", text]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_restricted_mode_excludes_empty_premise_connectives(self):
         for f in (Unit(), Star(p), Plus(p)):
@@ -653,6 +684,17 @@ class TestCertificates:
         assert str(e.value) == ("bad [Ax] node at q -> p: axiom antecedent "
                                 "must be exactly the succedent atom")
 
+    def test_deep_derivations_render(self):
+        # deeper than the default recursion limit; the chain's text grows
+        # with the square of its depth (3,000 deep writes 40 MB)
+        deep = self.over_chain(Derivation("Ax", Sequent((p,), p)), 1200)
+        lines = render_derivation(deep).split("\n")
+        assert len(lines) == 2 * 1200 + 1
+        assert lines[0] == "[/->] " + "p/p, " * 1200 + "p -> p"
+        assert lines[1] == "  [/->] " + "p/p, " * 1199 + "p -> p"
+        assert lines[1200] == "  " * 1200 + "[Ax] p -> p"
+        assert lines[-1] == "  [Ax] p -> p"
+
     def test_checker_restricted_rejects_empty_antecedents(self):
         d = prove(parse_sequent("-> p/p")).derivation
         assert check_derivation(d)
@@ -690,3 +732,32 @@ class TestSearchHelpers:
         g = normalize_plus(Plus(Prod(p, Plus(q))))
         inner = Prod(p, Prod(q, Star(q)))
         assert g is Prod(inner, Star(inner))
+
+    def test_shared_plus_tower(self):
+        # 60 levels over p^+, 62 distinct nodes that unfold to a tree of
+        # 3 * 2**60 - 1 nodes: every entry point walks each (node,
+        # polarity) once.  The expected results, at positive and at
+        # negative polarity:
+        f, norm = Plus(p), Prod(p, Star(p))
+        pos, neg = norm, Prod(p, Or(Unit(), p))
+        for _ in range(60):
+            f, norm = Under(f, f), Under(norm, norm)
+            pos, neg = Under(neg, pos), Under(pos, neg)
+        # bare values in the asserts: a failing assert would render a
+        # formula, here a tree of 2**61 nodes or more
+        size = f.size
+        assert size == 3 * 2 ** 60 - 1
+
+        def refused():
+            with pytest.raises(FragmentError, match=r"^p\^\* occurs"):
+                prove(Sequent((), f))
+            return True
+        for call, expected in (
+                (lambda: normalize_plus(f), norm),
+                (lambda: approximate(Sequent((f,), f), 1),
+                 Sequent((neg,), pos)),
+                (refused, True)):
+            t0 = time.perf_counter()
+            same = call() == expected
+            seconds = time.perf_counter() - t0
+            assert same and seconds < 1

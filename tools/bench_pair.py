@@ -23,10 +23,7 @@ fresh checkouts without bytecode caches.  Then, in each checkout:
   alternating sides: the import's seconds (median and minimum per side),
   the modules it adds to ``sys.modules`` (outside the package itself),
   the peak RSS after it (``VmHWM``) and the RSS the import adds
-  (``VmRSS`` after minus before).  These are read from
-  ``/proc/self/status``, not from ``ru_maxrss``, because Linux keeps
-  ``ru_maxrss`` across ``execve``: a fresh interpreter would report this
-  script's own peak whenever that is the larger;
+  (``VmRSS`` after minus before);
 * ``compile_unique`` of the grammar ``S -> A S b | b; A -> a A | ``
   (unique types of 1,879 and 3,379 nodes), 3 alternating pairs, each run
   in a fresh process, with each side's median seconds and peak RSS;
@@ -48,16 +45,18 @@ fresh checkouts without bytecode caches.  Then, in each checkout:
   in a fresh process, with each side's median seconds and peak RSS;
 * the tier-1 tests, once per side.
 
-Peak RSS of the other one-off runs is ``ru_maxrss`` of the process that
-ran them; it cannot read below this script's own peak RSS at the time,
-for the reason above.  The file is rewritten after every run, so an
-interrupted session leaves what it measured.  Summaries give, per
-workload and end-to-end metric, each side's median and quartiles
-(inclusive method), the ratio of medians, the pairs the change wins (ties
-count for neither side), the gap between the medians and the parent's
-quartile spread; the end-to-end metrics go in ``summary`` and the
-per-layer ones of the traced runs in ``traced_summary`` (a ratio is null
-where the parent's median is 0, a layer the workload does not reach).
+Every one-off run reads its peak RSS as ``VmHWM`` of its own process,
+from ``/proc/self/status``, not from ``ru_maxrss``: Linux keeps
+``ru_maxrss`` across ``execve``, so a fresh interpreter would report this
+script's own peak whenever that is the larger.  The file is rewritten
+after every run, so an interrupted session leaves what it measured.
+Summaries give, per workload and end-to-end metric, each side's median
+and quartiles (inclusive method), the ratio of medians, the pairs the
+change wins (ties count for neither side), the gap between the medians
+and the parent's quartile spread; the end-to-end metrics go in
+``summary`` and the per-layer ones of the traced runs in
+``traced_summary`` (a ratio is null where the parent's median is 0, a
+layer the workload does not reach).
 Nothing under ``perfbench/`` and no part of ``BENCHMARK.json`` is
 changed.
 """
@@ -85,8 +84,18 @@ SEEDS = 10
 IMPORT_RUNS = 15
 ONE_OFF_PAIRS = 3
 
+# prefixed to every snippet: a field of the snippet's own
+# /proc/self/status in MB, for peak RSS (VmHWM) and RSS (VmRSS)
+STATUS_MB = """
+def status_mb(field):
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith(field + ":"):
+                return int(line.split()[1]) / 1024
+"""
+
 UNIVERSAL = """
-import json, resource, time
+import json, time
 from lambekstar import (ProverSession, parse_cfg, refute_alt2,
                         total_plus_to_alt2)
 g = total_plus_to_alt2(parse_cfg("S -> a S\\nS -> b S\\nS -> a\\nS -> b"))
@@ -98,12 +107,11 @@ print(json.dumps({{
     "bound": {bound}, "witness": None if w is None else " ".join(w.word),
     "seconds": round(seconds, 2), "steps": session.steps_used,
     "memo_entries": len(session.memo),
-    "peak_rss_mb": round(resource.getrusage(
-        resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}}))
+    "peak_rss_mb": round(status_mb("VmHWM"), 1)}}))
 """
 
 COMPILE = """
-import json, resource, time
+import json, time
 from lambekstar import ProverSession, compile_unique, parse_cfg, to_gnf2
 g = to_gnf2(parse_cfg("@start S\\nS -> A S b | b\\nA -> a A | "))
 session = ProverSession()
@@ -113,19 +121,11 @@ seconds = time.perf_counter() - t0
 print(json.dumps({
     "seconds": round(seconds, 3), "steps": session.steps_used,
     "memo_entries": len(session.memo),
-    "peak_rss_mb": round(resource.getrusage(
-        resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))
+    "peak_rss_mb": round(status_mb("VmHWM"), 1)}))
 """
 
 IMPORT_COST = """
 import json, sys, time
-
-def status_mb(field):
-    with open("/proc/self/status") as f:
-        for line in f:
-            if line.startswith(field + ":"):
-                return int(line.split()[1]) / 1024
-
 before = set(sys.modules)
 rss0 = status_mb("VmRSS")
 t0 = time.perf_counter()
@@ -194,7 +194,7 @@ print(json.dumps(out))
 """
 
 EQUIVALENCE = """
-import json, random, resource, sys, time
+import json, random, sys, time
 sys.path.insert(0, "tests")
 from helpers import random_epsfree_grammar
 from lambekstar import equivalence_harness
@@ -211,8 +211,7 @@ print(json.dumps({
     "grammar": text, "ok": rep.ok, "words": len(rep.results),
     "error": rep.error,
     "seconds": round(seconds, 1),
-    "peak_rss_mb": round(resource.getrusage(
-        resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))
+    "peak_rss_mb": round(status_mb("VmHWM"), 1)}))
 """
 
 
@@ -261,7 +260,7 @@ def perfbench(tree: pathlib.Path, workload: str, seed: int, seconds: float,
 
 
 def snippet(tree: pathlib.Path, code: str) -> dict:
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tree,
+    proc = subprocess.run([sys.executable, "-c", STATUS_MB + code], cwd=tree,
                           env=env_for(tree), capture_output=True, text=True)
     if proc.returncode != 0:
         return {"error": proc.stderr.strip()[-2000:]}
