@@ -437,10 +437,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"budget exhausted: {e} (raise --budget)", file=sys.stderr)
         return 3
     except RecursionError:
-        # the parser, the renderers and the checker keep explicit stacks;
-        # the search engines, the polarity rewrite at prove entry, the
-        # instance tools and the --json derivation record still recurse,
-        # once per nesting level or formula
+        # the parser, the renderers, the checker, the *-external test and
+        # identity expansion keep explicit stacks; the search engines, the
+        # polarity rewrite at prove entry, instance expansion and
+        # membership, product elimination in joins and the --json
+        # derivation record still recurse, once per nesting level or
+        # formula
         print("error: input too deep or too long", file=sys.stderr)
         return 2
     except (LambekError, OSError) as e:

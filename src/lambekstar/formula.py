@@ -224,6 +224,11 @@ class GroupWord:
 # --------------------------------------------------------------------------
 # terms
 
+# the largest tree size ``repr`` renders in full, well above the largest
+# compiled unique type measured (6,475 nodes)
+_REPR_MAX_SIZE = 100_000
+
+
 class Formula:
     """A hash-consed formula node.  Build via the factory functions."""
 
@@ -248,6 +253,11 @@ class Formula:
                               # None outside ·,\,/,1
 
     def __repr__(self) -> str:
+        # a hash-consed formula can unfold to a tree far too big to print
+        if self.size > _REPR_MAX_SIZE:
+            k = self.kind
+            op = _INFIX[k][0] if k in _INFIX else _POSTFIX_TEXT[k]
+            return f"<formula of size {self.size}, top connective {op}>"
         return f"<{render_formula(self)}>"
 
     def __str__(self) -> str:
@@ -430,12 +440,12 @@ class Derivation(_Record):
         self.premises = premises
 
 
-def render_derivation(d: Derivation, indent: int = 0) -> str:
+def render_derivation(d: Derivation) -> str:
     """One line ``[rule] conclusion`` per node, each premise below its
     conclusion and one step further in.  The nodes still to write wait on
     an explicit stack, so depth is bounded by memory alone."""
     lines = []
-    todo = [(d, indent)]
+    todo = [(d, 0)]
     while todo:
         d, indent = todo.pop()
         lines.append(f"{'  ' * indent}[{d.rule}] "

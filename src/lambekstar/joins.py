@@ -10,6 +10,9 @@ strategies cannot handle fails loudly with the list of tried candidates.
 
 Strategies, in order:
 
+0. *single* — a one-row family joins at its own product, raised over a
+   fresh core and with the products eliminated (the candidate of strategy
+   2 for one row, tried first and only once).
 1. *menu raising* — pick the longest input as a master sequence, align the
    other inputs into it monotonically, replace every slot some input skips
    by an "optional" variant O(m) with ⊢ Λ → O(m) and ⊢ m → O(m), and raise
@@ -36,8 +39,8 @@ from .checker import assert_valid_derivation
 from .formula import (
     ATOM, OVER, PROD, UNDER,
     Atom, Derivation, Formula, FragmentError, LambekError, Over, Prod,
-    Sequent, Under, VarSupply, _Record, curried_division, division_pure,
-    sequence_image,
+    Sequent, Under, VarSupply, _rebuild, _Record, curried_division,
+    division_pure, sequence_image, split_curried,
 )
 from .prover import DEFAULT_BUDGET, ProverSession, _session_for, prove
 
@@ -77,69 +80,55 @@ def product_fold(gamma: Sequence[Formula], fallback_var: str = "q") -> Formula:
     return out
 
 
-def _flatten_product(f: Formula) -> list[Formula]:
-    if f.kind == PROD:
-        return _flatten_product(f.left) + _flatten_product(f.right)
-    return [f]
-
-
-def _deproduct_equiv(f: Formula) -> Formula:
-    """Remove products by the currying equivalences only.
-
-    ``(A.B)\\C = B\\(A\\C)`` and ``C/(A.B) = (C/B)/A`` hold in both
-    directions, so this rewrite is safe at any polarity.  A product that
-    survives (one nested inside a denominator's numerator) has no
-    division-only equivalent; that is a synthesis failure.
-    """
-    if f.kind == ATOM:
-        return f
-    if f.kind == UNDER:
-        if f.left.kind == PROD:
-            return _deproduct_equiv(
-                Under(f.left.right, Under(f.left.left, f.right)))
-        return Under(_deproduct_equiv(f.left), _deproduct_equiv(f.right))
-    if f.kind == OVER:
-        if f.right.kind == PROD:
-            return _deproduct_equiv(
-                Over(Over(f.left, f.right.right), f.right.left))
-        return Over(_deproduct_equiv(f.left), _deproduct_equiv(f.right))
-    raise JoinSynthesisError(
-        f"irreducible product in a denominator of {f}")
-
-
 def eliminate_product(f: Formula, *, budget: int = DEFAULT_BUDGET,
                       session: ProverSession | None = None) -> Formula:
     """A product-free formula B with ⊢ f → B, prover-verified.
 
     Product-free inputs come back unchanged, with no proof run.
-    Denominator products are removed by the (invertible) currying laws; a
-    top-level or numerator product spine is raised over a fresh core,
+    Denominator products are removed by the currying laws
+    ``(A.B)\\C = B\\(A\\C)`` and ``C/(A.B) = (C/B)/A``, which hold in both
+    directions, so they are safe at any polarity.  A top-level or
+    numerator product spine is raised over a fresh core,
     ``d/((F₁,…,Fₖ)\\d)``, which is derivable from the spine but
-    deliberately one-directional.  The verifying proof runs in
-    ``session`` when one is given.
+    deliberately one-directional, so it is never done under a
+    denominator; a product left there (one in a denominator's numerator)
+    has no division-only equivalent and fails the synthesis.  The
+    verifying proof runs in ``session`` when one is given.
     """
     _check_language(f)
     if not f.kinds & 1 << PROD:
         return f
     supply = VarSupply.for_formulas([f])
 
-    def elim(g: Formula) -> Formula:
-        if g.kind == ATOM:
+    def elim(g: Formula, top: bool) -> Formula:
+        """``g`` without products; ``top`` is False under a denominator."""
+        if not g.kinds & 1 << PROD:
             return g
-        if g.kind == PROD:
-            factors = [elim(x) for x in _flatten_product(g)]
-            core = supply.fresh_atom("d")
-            return Over(core, curried_division(factors, core, []))
         if g.kind == UNDER:
             if g.left.kind == PROD:
-                return elim(Under(g.left.right, Under(g.left.left, g.right)))
-            return Under(_deproduct_equiv(g.left), elim(g.right))
-        # OVER
-        if g.right.kind == PROD:
-            return elim(Over(Over(g.left, g.right.right), g.right.left))
-        return Over(elim(g.left), _deproduct_equiv(g.right))
+                return elim(Under(g.left.right, Under(g.left.left, g.right)),
+                            top)
+            return _rebuild(g, elim(g.left, False), elim(g.right, top))
+        if g.kind == OVER:
+            if g.right.kind == PROD:
+                return elim(Over(Over(g.left, g.right.right), g.right.left),
+                            top)
+            return _rebuild(g, elim(g.left, top), elim(g.right, False))
+        if not top:
+            raise JoinSynthesisError(
+                f"irreducible product in a denominator of {g}")
+        factors = []
+        spine = [g]
+        while spine:            # the spine's factors, left to right
+            x = spine.pop()
+            if x.kind == PROD:
+                spine += (x.right, x.left)
+            else:
+                factors.append(elim(x, True))
+        core = supply.fresh_atom("d")
+        return Over(core, curried_division(factors, core, []))
 
-    out = elim(f)
+    out = elim(f, True)
     result = prove(Sequent((f,), out), session=session, budget=budget)
     if not result.proved:
         raise JoinSynthesisError(
@@ -187,14 +176,10 @@ def _match_slot(f: Formula) -> tuple[Formula, tuple[Formula, ...]] | None:
     """Match x/((W₁,…,W_T)\\x) for an atom x; return (x, (W₁,…,W_T))."""
     if f.kind != OVER or f.left.kind != ATOM:
         return None
-    ws: list[Formula] = []
-    c = f.right
-    while c.kind == UNDER:
-        ws.append(c.left)
-        c = c.right
-    if c is not f.left or not ws:
+    ws, core, ds = split_curried(f.right)
+    if core is not f.left or ds or not ws:
         return None
-    return (f.left, tuple(reversed(ws)))
+    return (f.left, ws)
 
 
 def _optional_candidate(f: Formula,
@@ -303,15 +288,17 @@ def _align(row: tuple[Formula, ...],
 
 def _candidates(p: JoinProblem, supply: VarSupply, fresh_core,
                 session: ProverSession) -> Iterable[tuple[str, Formula]]:
-    # 0. one sequence joins with itself
-    if len(p.inputs) == 1:
+    def raised_product(label: str) -> Iterable[tuple[str, Formula]]:
         try:
-            yield ("single",
-                   eliminate_product(product_fold(p.inputs[0],
-                                                  supply.fresh("q")),
-                                     session=session))
+            folds = [product_fold(row, fallback_var=supply.fresh("q"))
+                     for row in p.inputs]
+            yield (label,
+                   eliminate_product(product_fold(folds), session=session))
         except JoinSynthesisError:
             pass
+    # 0. one sequence joins with itself
+    if len(p.inputs) == 1:
+        yield from raised_product("single")
     # 1. menu raising over the longest input
     master = max(p.inputs, key=len)
     alignments = [_align(row, master) for row in p.inputs]
@@ -329,14 +316,9 @@ def _candidates(p: JoinProblem, supply: VarSupply, fresh_core,
             yield ("menu", Over(core, curried_division(menu, core, [])))
         except JoinSynthesisError:
             pass
-    # 2. product of all inputs, raised
-    try:
-        folds = [product_fold(row, fallback_var=supply.fresh("q"))
-                 for row in p.inputs]
-        yield ("product-of-all",
-               eliminate_product(product_fold(folds), session=session))
-    except JoinSynthesisError:
-        pass
+    # 2. product of all inputs, raised; for one row it is the single one
+    if len(p.inputs) > 1:
+        yield from raised_product("product-of-all")
 
 
 def join(p: JoinProblem, *, budget: int = DEFAULT_BUDGET,

@@ -22,7 +22,7 @@ beyond the formula terms themselves.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import _search
 from .checker import assert_valid_derivation, check_derivation
@@ -249,12 +249,6 @@ def principal_candidates(sequent: Sequent) -> tuple[int, ...]:
 # --------------------------------------------------------------------------
 # general engine
 
-def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Cut positions splitting range(n) into k non-empty blocks."""
-    for cuts in combinations(range(1, n), k - 1):
-        yield cuts
-
-
 def _general(ant: tuple, succ: Formula, memo: dict, budget: list,
              restricted: bool) -> Derivation | None:
     if restricted and not ant:
@@ -339,7 +333,7 @@ def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
             return Derivation("->*_0", Sequent(ant, succ))
         n = len(ant)
         for k in range(1, n + 1):
-            for cuts in _compositions(n, k):
+            for cuts in combinations(range(1, n), k - 1):
                 bounds = (0,) + cuts + (n,)
                 premises = []
                 for a, b2 in zip(bounds, bounds[1:]):
@@ -460,7 +454,7 @@ def naive_prove(sequent: Sequent, *, restricted: bool = False,
                 return True
             n = len(ant)
             for k in range(1, n + 1):
-                for cuts in _compositions(n, k):
+                for cuts in combinations(range(1, n), k - 1):
                     bounds = (0,) + cuts + (n,)
                     if all(go(ant[a:b], succ.left)
                            for a, b in zip(bounds, bounds[1:])):

@@ -33,8 +33,8 @@ from .formula import (
     Derivation, Formula, FragmentError, LambekError, Or, Prod, Sequent,
     Unit, _Record, division_pure, render_formula, render_sequent,
 )
-from .prover import (DEFAULT_BUDGET, ProverSession, _polar, _session_for,
-                     normalize_plus, prove)
+from .prover import (_DIVISION, DEFAULT_BUDGET, ProverSession, _polar,
+                     _session_for, normalize_plus, prove)
 
 __all__ = [
     "ApproximationOutcome", "InstanceOutcome",
@@ -122,14 +122,26 @@ def check_approximations(s: Sequent, up_to: int = 3, *,
 # --------------------------------------------------------------------------
 
 def _formula_star_external(f: Formula) -> bool:
+    """True when ``f`` joins division-pure pieces by ``.``, ``*`` and ``^+``
+    alone.  Each distinct (hash-consed) node is visited once, from an
+    explicit stack, so shared structure costs its DAG size."""
     if division_pure(f):
         return True
-    if f.kind == PROD:
-        return (_formula_star_external(f.left)
-                and _formula_star_external(f.right))
-    if f.kind in (STAR, PLUS):
-        return _formula_star_external(f.left)
-    return False
+    seen: set[Formula] = set()
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if not g.kinds & ~_DIVISION or g in seen:      # division-pure
+            continue
+        seen.add(g)
+        k = g.kind
+        if k == PROD:
+            todo += (g.left, g.right)
+        elif k == STAR or k == PLUS:
+            todo.append(g.left)
+        else:
+            return False
+    return True
 
 
 def is_star_external(s: Sequent) -> bool:
@@ -233,22 +245,41 @@ def check_instances(s: Sequent, bound: int = 3, *,
 # --------------------------------------------------------------------------
 
 def derive_identity(f: Formula) -> Derivation:
-    """Cut-free certificate for ``f -> f`` on division-pure ``f``."""
+    """Cut-free certificate for ``f -> f`` on division-pure ``f``.
+
+    Built bottom-up from an explicit stack, one derivation per distinct
+    subformula, so depth is bounded by memory alone.  A subformula that is
+    not an atom, ``\\`` or ``/`` fails; the first one met, in the order the
+    premises are written, is named."""
     if f.kind == ATOM:
         return Derivation("Ax", Sequent((f,), f), ())
-    if f.kind == UNDER:
-        inner = Derivation(
-            "\\->", Sequent((f.left, f), f.right),
-            (derive_identity(f.left), derive_identity(f.right)))
-        return Derivation("->\\", Sequent((f,), f), (inner,))
-    if f.kind == OVER:
-        inner = Derivation(
-            "/->", Sequent((f, f.right), f.left),
-            (derive_identity(f.right), derive_identity(f.left)))
-        return Derivation("->/", Sequent((f,), f), (inner,))
-    raise FragmentError(
-        f"identity expansion needs a division-pure formula, got "
-        f"{render_formula(f)}")
+    done: dict[Formula, Derivation] = {}
+    todo = [(f, False)]
+    while todo:
+        g, ready = todo.pop()
+        if ready:           # both premises are built
+            if g.kind == UNDER:
+                inner = Derivation("\\->", Sequent((g.left, g), g.right),
+                                   (done[g.left], done[g.right]))
+                done[g] = Derivation("->\\", Sequent((g,), g), (inner,))
+            else:
+                inner = Derivation("/->", Sequent((g, g.right), g.left),
+                                   (done[g.right], done[g.left]))
+                done[g] = Derivation("->/", Sequent((g,), g), (inner,))
+        elif g in done:
+            continue
+        elif g.kind == ATOM:
+            done[g] = Derivation("Ax", Sequent((g,), g), ())
+        elif g.kind == UNDER:
+            # pushed in reverse: the first premise is built first
+            todo += ((g, True), (g.right, False), (g.left, False))
+        elif g.kind == OVER:
+            todo += ((g, True), (g.left, False), (g.right, False))
+        else:
+            raise FragmentError(
+                f"identity expansion needs a division-pure formula, got "
+                f"{render_formula(g)}")
+    return done[f]
 
 
 def _membership_cert(f: Formula, seq: tuple[Formula, ...],

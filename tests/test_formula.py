@@ -19,7 +19,7 @@ from lambekstar import (And, Atom, Derivation, FragmentError, GroupWord,
                         sequence_image, split_curried, top_of, type_raise,
                         zero_balanced)
 from lambekstar.formula import (AND, ATOM, OR, OVER, PLUS, PROD, STAR, UNDER,
-                                UNIT, _comp, _truth)
+                                UNIT, _REPR_MAX_SIZE, _comp, _truth)
 
 from helpers import random_division_pure
 
@@ -41,6 +41,23 @@ class TestTerms:
         assert p.size == 1
         assert Under(p, q).size == 3
         assert sentinel("p", "q", "r").size == 11
+
+    def test_repr_of_a_shared_tower_returns(self):
+        # 60 levels over p^+: 62 distinct nodes, a tree of 3 * 2**60 - 1
+        # nodes that no renderer could print; repr names size and top
+        f = Plus(p)
+        for _ in range(60):
+            f = Under(f, f)
+        assert repr(f) == ("<formula of size 3458764513820540927, "
+                           "top connective \\>")
+        assert repr(Sequent((f,), p)).endswith("succedent=<p>)")
+        # up to the bound a formula is rendered in full
+        g = p
+        while 2 * g.size + 1 <= _REPR_MAX_SIZE:
+            g = Over(g, g)
+        assert repr(g) == f"<{g}>"
+        assert repr(Over(g, g)) == (f"<formula of size {2 * g.size + 1}, "
+                                    "top connective />")
 
     def test_kinds_are_distinct(self):
         kinds = {f.kind for f in (p, Unit(), Under(p, q), Over(p, q),

@@ -102,6 +102,19 @@ class TestEliminateProduct:
         assert division_pure(out)
         assert proves((P, Q, R), out)
 
+    @pytest.mark.parametrize("src,expected", [
+        # curry the denominator, then raise the numerator
+        ("(p.q)\\(r.s)", "q\\p\\d/(s\\r\\d)"),
+        # a raised product inside a spine factor takes its core first
+        ("p.(q\\(r.s))", "d#1/((q\\d/(s\\r\\d))\\p\\d#1)"),
+        # a left-nested spine flattens into one raise
+        ("(p.q).r", "d/(r\\q\\p\\d)"),
+        # a product inside a denominator is curried, never raised
+        ("s/((p.q)\\r)", "s/(q\\p\\r)"),
+    ])
+    def test_rendered_output_is_pinned(self, src, expected):
+        assert str(eliminate_product(parse_formula(src))) == expected
+
     def test_irreducible_nested_product_fails(self):
         # a product inside a denominator's numerator has no division-only
         # equivalent, so elimination must refuse rather than guess
@@ -190,6 +203,22 @@ class TestJoinBasics:
         with pytest.raises(JoinSynthesisError) as exc:
             join(fam)
         assert "tried" in str(exc.value)
+
+    def test_one_row_family_eliminates_its_product_twice(self, monkeypatch):
+        # the raised product of the one row is the single candidate; the
+        # menu eliminates the same slot once more, and no product-of-all
+        # candidate repeats the first elimination
+        from lambekstar import joins
+        calls = []
+        elim = joins.eliminate_product
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return elim(*args, **kwargs)
+        monkeypatch.setattr(joins, "eliminate_product", counted)
+        with pytest.raises(JoinSynthesisError):
+            join(JoinProblem(((parse_formula("r/(p\\(q.r))"),),)))
+        assert len(calls) == 2
 
     def test_rows_with_no_common_master_join_as_a_raised_product(self):
         # neither row embeds in the other, so no menu exists; the product

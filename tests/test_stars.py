@@ -26,6 +26,7 @@ from lambekstar import (
     parse_formula,
     parse_sequent,
     prove,
+    render_derivation,
     render_sequent,
 )
 from lambekstar.checker import check_derivation
@@ -125,6 +126,17 @@ class TestStarExternal:
     def test_pins(self, text, expected):
         assert is_star_external(parse_sequent(text)) is expected
 
+    def test_shared_tower(self):
+        # 60 levels of Prod(f, f) over p^*: 62 distinct nodes that unfold
+        # to a tree of 3 * 2**60 - 1 nodes, so only a walk that visits
+        # each shared node once returns
+        good, bad = Star(P), Under(Star(P), Q)
+        for _ in range(60):
+            good, bad = Prod(good, good), Prod(bad, bad)
+        assert is_star_external(Sequent((good,), P)) is True
+        assert is_star_external(Sequent((bad,), P)) is False
+        assert instances(good, 0) == ((),)
+
 
 class TestInstances:
     def test_division_pure_formula_is_its_own_only_instance(self):
@@ -194,6 +206,32 @@ class TestInstanceSoundness:
             cert = derive_identity(f)
             assert cert.conclusion == Sequent((f,), f)
             assert check_derivation(cert)
+
+    def test_identity_certificate_is_pinned(self):
+        assert render_derivation(derive_identity(parse_formula("(p\\q)/r"))) \
+            == "\n".join([
+                "[->/] (p\\q)/r -> (p\\q)/r",
+                "  [/->] (p\\q)/r, r -> p\\q",
+                "    [Ax] r -> r",
+                "    [->\\] p\\q -> p\\q",
+                "      [\\->] p, p\\q -> q",
+                "        [Ax] p -> p",
+                "        [Ax] q -> q",
+            ])
+        # the first non-division subformula, in premise order (the
+        # denominator first), is named
+        with pytest.raises(FragmentError, match=r"got p\.q$"):
+            derive_identity(parse_formula("(q.r)/(p.q)"))
+        with pytest.raises(FragmentError, match=r"got p\.q$"):
+            derive_identity(parse_formula("(p.q)\\(q.r)"))
+
+    def test_deep_identity_certificates(self):
+        # 2,000 nested divisions, far above the default recursion limit
+        f = P
+        for _ in range(2000):
+            f = Under(P, f)
+        assert check_derivation(derive_identity(f))
+        assert check_derivation(instance_soundness(f, (f,)))
 
 
 class TestCheckInstances:

@@ -17,8 +17,8 @@ fresh checkouts without bytecode caches.  Then, in each checkout:
   the same alternating order, for the per-layer metrics;
 * ``refute_alt2`` on the lifted universal grammar
   ``total_plus_to_alt2(S -> a S | b S | a | b)`` to lengths 4, 6 and 8, in
-  a fresh process and session, compile included, two rounds alternating
-  sides;
+  a fresh process and session, compile included, 3 alternating pairs per
+  length, with each side's median seconds, states and peak RSS per length;
 * ``import lambekstar`` in a fresh interpreter, 15 times per side,
   alternating sides: the import's seconds (median and minimum per side),
   the modules it adds to ``sys.modules`` (outside the package itself),
@@ -28,11 +28,12 @@ fresh checkouts without bytecode caches.  Then, in each checkout:
   (unique types of 1,879 and 3,379 nodes), 3 alternating pairs, each run
   in a fresh process, with each side's median seconds and peak RSS;
 * ``parse_formula`` of the 2,000-deep ``p\\p\\...\\p``, then
-  ``render_formula`` of the parsed chain, once per side, in a fresh
-  process, recording each one's seconds or, when it raises, the
-  exception's class name (a recursive parser or renderer gives
-  ``RecursionError``);
-* small calls, once per side, in a fresh process: the best-of-7 per-call
+  ``render_formula`` of the parsed chain, 3 alternating pairs, each run
+  in a fresh process, recording each one's seconds or, when it raises,
+  the exception's class name (a recursive parser or renderer gives
+  ``RecursionError``), with each side's median seconds;
+* small calls, 3 alternating pairs, each run in a fresh process, with
+  each side's medians: the best-of-7 per-call
   microseconds (2,000 calls a repeat) of ``prove`` on ``p, p\\q -> q`` and
   of ``instance_soundness`` on ``p, q, q -> p.q^*``, and the number of
   ``Sequent`` and ``Derivation`` objects that one pass over the seed-1
@@ -79,7 +80,6 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 BOUNDS = (4, 6, 8)
-ROUNDS = 2
 SEEDS = 10
 IMPORT_RUNS = 15
 ONE_OFF_PAIRS = 3
@@ -363,8 +363,9 @@ def main() -> int:
         "universal_grammar": {
             "what": "refute_alt2(total_plus_to_alt2(S -> a S | b S | a | b)"
                     ", bound) in a fresh process and session, compile "
-                    f"included; {ROUNDS} rounds, alternating sides",
-            "runs": []},
+                    f"included; {ONE_OFF_PAIRS} alternating pairs per "
+                    "bound, parent first in odd pairs; medians by bound",
+            "runs": [], "medians": {}},
         "import_cost": {
             "what": "import lambekstar in a fresh interpreter: seconds, "
                     "the modules it adds outside the package, peak RSS "
@@ -380,15 +381,17 @@ def main() -> int:
         "deep_parse": {
             "what": "parse_formula, then render_formula, of the 2,000-deep "
                     "p\\p\\...\\p in a fresh process: seconds, or the "
-                    "exception's class name; one run per side, parent first",
-            "runs": []},
+                    f"exception's class name; {ONE_OFF_PAIRS} alternating "
+                    "pairs, parent first in odd pairs",
+            "runs": [], "medians": {}},
         "small_calls": {
             "what": "best-of-7 per-call us of prove(p, p\\q -> q) and of "
                     "instance_soundness(p, q, q -> p.q^*), and the Sequent "
                     "and Derivation objects one seed-1 small-sequents "
-                    "stream pass builds, in a fresh process; one run per "
-                    "side, parent first",
-            "runs": []},
+                    "stream pass builds, in a fresh process; "
+                    f"{ONE_OFF_PAIRS} alternating pairs, parent first in "
+                    "odd pairs",
+            "runs": [], "medians": {}},
         "equivalence_harness_large_grammar": {
             "what": "equivalence_harness(random_epsfree_grammar("
                     "random.Random(14), max_nonterminals=3, max_rules=5), "
@@ -428,23 +431,30 @@ def main() -> int:
 
         paired_runs(0, doc["runs"])
         paired_runs(1, doc["traced_cycles"])
-        for rnd in range(ROUNDS):
-            for side in (SIDES if rnd % 2 == 0 else SIDES[::-1]):
-                for bound in BOUNDS:
-                    res = snippet(trees[side], UNIVERSAL.format(bound=bound))
-                    doc["universal_grammar"]["runs"].append(
-                        {**res, "side": side})
-                    save()
+
         def alternating(key: str, code: str, pairs: int,
-                        medians: tuple[str, ...]) -> None:
+                        medians: tuple[str, ...],
+                        label: str | None = None) -> None:
+            """``pairs`` alternating pairs of ``code``, parent first in odd
+            pairs; the per-side medians of these runs go in the entry's
+            ``medians``, or in ``medians[label]`` when a label is given."""
             entry = doc[key]
+            first = len(entry["runs"])
             for rnd in range(pairs):
                 for side in (SIDES if rnd % 2 == 0 else SIDES[::-1]):
                     entry["runs"].append({**snippet(trees[side], code),
                                           "side": side})
-                    entry["medians"] = side_medians(entry["runs"], medians)
+                    got = side_medians(entry["runs"][first:], medians)
+                    if label is None:
+                        entry["medians"] = got
+                    else:
+                        entry["medians"][label] = got
                     save()
 
+        for bound in BOUNDS:
+            alternating("universal_grammar", UNIVERSAL.format(bound=bound),
+                        ONE_OFF_PAIRS, ("seconds", "steps", "peak_rss_mb"),
+                        label=str(bound))
         alternating("import_cost", IMPORT_COST, IMPORT_RUNS,
                     ("seconds", "rss_mb", "added_rss_mb"))
         doc["import_cost"]["minimum_seconds"] = {
@@ -454,14 +464,11 @@ def main() -> int:
         save()
         alternating("compile_large_grammar", COMPILE, ONE_OFF_PAIRS,
                     ("seconds", "peak_rss_mb"))
-        for side in SIDES:
-            res = snippet(trees[side], DEEP_PARSE)
-            doc["deep_parse"]["runs"].append({**res, "side": side})
-            save()
-        for side in SIDES:
-            res = snippet(trees[side], SMALL_CALLS)
-            doc["small_calls"]["runs"].append({**res, "side": side})
-            save()
+        alternating("deep_parse", DEEP_PARSE, ONE_OFF_PAIRS,
+                    ("seconds", "render_seconds"))
+        alternating("small_calls", SMALL_CALLS, ONE_OFF_PAIRS,
+                    ("prove_us", "instance_soundness_us",
+                     "sequents_per_pass", "derivations_per_pass"))
         alternating("equivalence_harness_large_grammar", EQUIVALENCE,
                     ONE_OFF_PAIRS, ("seconds", "peak_rss_mb"))
         for side in SIDES:
