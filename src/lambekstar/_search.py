@@ -6,7 +6,8 @@ Strategy, backward from the goal:
 
   1. invert the succedent to an atom (both right rules are invertible);
   2. refute immediately when, under one of the 64 fixed valuations of
-     ``Formula.tv`` in the binary relations on a two-point set, the
+     ``Formula.rv`` (which ``prove`` fills for every subformula before
+     the search starts) in the binary relations on a two-point set, the
      composition of the antecedent's relations is not contained in the
      goal's.  Relations on a set form a residuated monoid (composition as
      product, the identity as unit, the two residuals as divisions), so a
@@ -131,9 +132,9 @@ def _solve_atomic(ant, succ, memo, budget, restricted, tested):
     if not tested:
         pre = [_ID]
         suf = [_ID]
-        if _prefix(pre, ant, n) & ~succ.tv:
+        if _prefix(pre, ant, n) & ~succ.rv:
             return None
-    goal = succ.name
+    goal = succ.top                    # an atom's top is its name
     last = n - 1
     for i in range(n):
         f = ant[i]
@@ -164,7 +165,7 @@ def _prefix(pre, lctx, j):
         return pre[j]
     acc = pre[-1]
     for k in range(len(pre), j + 1):
-        acc = _comp(acc, lctx[k - 1].tv)
+        acc = _comp(acc, lctx[k - 1].rv)
         pre.append(acc)
     return acc
 
@@ -178,7 +179,7 @@ def _suffix(suf, rctx, k):
     acc = suf[-1]
     m = len(rctx)
     for i in range(len(suf), k + 1):
-        acc = _comp(rctx[m - i].tv, acc)
+        acc = _comp(rctx[m - i].rv, acc)
         suf.append(acc)
     return acc
 
@@ -214,14 +215,14 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted, pre, suf):
         x = f.left
         g = f.right
         nl = g.nl                          # \ denominators left for lctx[:j]
-        xf = ~x.tv                         # valuations refuting x
-        sf = ~succ.tv                      # valuations refuting succ
-        gr = _comp(g.tv, _suffix(suf, rctx, len(rctx)))   # [g];[rctx]
+        xf = ~x.rv                         # valuations refuting x
+        sf = ~succ.rv                      # valuations refuting succ
+        gr = _comp(g.rv, _suffix(suf, rctx, len(rctx)))   # [g];[rctx]
         m = len(lctx)
         tv = _ID                           # value of the segment lctx[j:]
         for j in range(m, nl - 1 if restricted else -1, -1):  # smallest first
             if j < m:
-                tv = _comp(lctx[j].tv, tv)
+                tv = _comp(lctx[j].rv, tv)
             elif restricted:
                 continue
             if (j and not nl) or tv & xf:
@@ -244,14 +245,14 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted, pre, suf):
         y = f.right
         g = f.left
         nr = g.nr                          # / denominators left for rctx[j:]
-        yf = ~y.tv                         # valuations refuting y
-        sf = ~succ.tv                      # valuations refuting succ
-        lg = _comp(_prefix(pre, lctx, len(lctx)), g.tv)   # [lctx];[g]
+        yf = ~y.rv                         # valuations refuting y
+        sf = ~succ.rv                      # valuations refuting succ
+        lg = _comp(_prefix(pre, lctx, len(lctx)), g.rv)   # [lctx];[g]
         m = len(rctx)
         tv = _ID                           # value of the segment rctx[:j]
         for j in range(m + 1 - nr if restricted else m + 1):  # smallest first
             if j:
-                tv = _comp(tv, rctx[j - 1].tv)
+                tv = _comp(tv, rctx[j - 1].rv)
             elif restricted:
                 continue
             if (j < m and not nr) or tv & yf:

@@ -2,19 +2,23 @@
 
 Formulas are hash-consed: the factory functions (``Atom``, ``Under``, ...)
 return one shared object per distinct term, so structural equality coincides
-with object identity and formulas can be used directly as dict keys.  Every
-term caches its node count (``size``), the connectives it uses (``kinds``),
-its head atom (``top``), the number of ``\\`` and ``/`` denominators on
-its spine down to that atom (``nl``, ``nr``), its free-group image
-(``fgw``) and its values under 64 fixed valuations in the binary relations
-on a two-point set (``tv``) at construction time; ``top``, ``fgw`` and
-``tv`` are ``None`` outside the fragments where they make sense.  Both
-provers refute through ``tv`` alone; the images serve the public API
+with object identity and formulas can be used directly as dict keys.  A
+node is built with its structure only: its node count (``size``), the
+connectives it uses (``kinds``), its head atom (``top``, an atom's own
+name) and the number of ``\\`` and ``/`` denominators on its spine down to
+that atom (``nl``, ``nr``).  Its values under 64 fixed valuations in the
+binary relations on a two-point set (``tv``) and its free-group image
+(``fgw``) are computed the first time something needs them, by one
+children-first walk from an explicit stack that stores them in every node
+below that lacks them; atoms and ``1`` have theirs from birth.  ``prove``
+fills the values of its sequent before either engine runs, and both
+provers refute through the values alone.  The images serve the public API
 (:func:`fg_interp`, :func:`sequence_image`, :func:`zero_balanced`), the
-join precondition and the certificate audit.  Images share their letters:
-interning an atom makes its one positive letter and registers the inverse
-letter, so every image holds one object per letter however often the
-letter occurs.
+join precondition and the certificate audit; each distinct image is one
+shared tuple, and every image holds one object per letter however often
+the letter occurs (interning an atom makes its positive letter and
+registers the inverse).  ``top``, ``tv`` and the images are ``None``
+outside the fragments where they make sense.
 
 Concrete syntax, loosest to tightest::
 
@@ -181,10 +185,14 @@ def _atom_tv(name: str) -> int:
 
 def _truth(formulas) -> int:
     """Value of a formula sequence, its members' values composed in order
-    (the identity when empty); every member must have one."""
+    (the identity when empty); every member must have one, and a value
+    not yet computed is filled here."""
     acc = _ID
     for f in formulas:
-        acc = _comp(acc, f.tv)
+        v = f.rv
+        if v is None:
+            v = _values(f)
+        acc = _comp(acc, v)
     return acc
 
 
@@ -228,102 +236,203 @@ class GroupWord:
 # compiled unique type measured (6,475 nodes)
 _REPR_MAX_SIZE = 100_000
 
+# ``Formula.rv`` of a node walked for values that has none: it uses a
+# connective outside ·,\,/,1, or has such a node below it
+_NO_VALUE = object()
+
+# the kinds of the ·,\,/,1 fragment, whose formulas have values and images
+_FG_KINDS = 1 << ATOM | 1 << UNIT | 1 << UNDER | 1 << OVER | 1 << PROD
+
 
 class Formula:
     """A hash-consed formula node.  Build via the factory functions."""
 
-    __slots__ = ("kind", "name", "left", "right", "size", "kinds", "top",
-                 "nl", "nr", "fgw", "tv")
+    __slots__ = ("kind", "left", "right", "size", "kinds", "top",
+                 "nl", "nr", "fgw", "rv")
 
     kind: int
-    name: str | None          # atom name, for ATOM nodes
     left: "Formula | None"
     right: "Formula | None"
     size: int                 # node count
     kinds: int                # OR of 1 << kind over every node
-    top: str | None           # head atom through \ and / numerators
+    top: str | None           # head atom through \ and / numerators; an
+                              # atom's own name
     nl: int                   # \ denominators on the spine to top (else 0)
     nr: int                   # / denominators on the spine to top (else 0)
-    fgw: tuple | None         # free-group image, for the API and the
-                              # audits (search does not read it); None
-                              # outside ·,\,/,1
-    tv: int | None            # relational value: four 64-bit lanes, one per
+    fgw: tuple | None         # free-group image, one shared tuple per
+                              # distinct image; None until fg_interp or
+                              # sequence_image first needs it (search does
+                              # not read it)
+    rv: object                # relational value: four 64-bit lanes, one per
                               # entry (0,0), (0,1), (1,0), (1,1) of a relation
                               # on {0, 1}, bit k of each under valuation k;
-                              # None outside ·,\,/,1
+                              # None until first needed, _NO_VALUE outside
+                              # ·,\,/,1
+
+    @property
+    def name(self) -> str | None:
+        """The atom name, for ATOM nodes; None for any other node."""
+        return self.top if self.kind == ATOM else None
+
+    @property
+    def tv(self) -> int | None:
+        """The relational value (``rv``), computed on first read; None
+        outside ·,\\,/,1."""
+        v = self.rv
+        if v is None:
+            v = _values(self)
+        return None if v is _NO_VALUE else v
 
     def __repr__(self) -> str:
-        # a hash-consed formula can unfold to a tree far too big to print
-        if self.size > _REPR_MAX_SIZE:
-            k = self.kind
-            op = _INFIX[k][0] if k in _INFIX else _POSTFIX_TEXT[k]
-            return f"<formula of size {self.size}, top connective {op}>"
-        return f"<{render_formula(self)}>"
+        text = _brief(self)
+        return text if self.size > _REPR_MAX_SIZE else f"<{text}>"
 
     def __str__(self) -> str:
         return render_formula(self)
 
 
+def _brief(f: Formula) -> str:
+    """``render_formula(f)``, or, for a formula of more than
+    ``_REPR_MAX_SIZE`` tree nodes, a short description: a hash-consed
+    formula can unfold to a tree far too big to print."""
+    if f.size > _REPR_MAX_SIZE:
+        k = f.kind
+        op = _INFIX[k][0] if k in _INFIX else _POSTFIX_TEXT[k]
+        return f"<formula of size {f.size}, top connective {op}>"
+    return render_formula(f)
+
+
+def _values(f: Formula) -> object:
+    """Fill the relational value of ``f`` and of every node below it that
+    has none yet, children first from an explicit stack, and return the
+    value of ``f`` (``_NO_VALUE`` outside ·,\\,/,1).  A node with a value
+    has values all the way down, so the walk stops at one."""
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        left = g.left
+        right = g.right
+        if left is not None and left.rv is None:
+            todo.append(left)
+            continue
+        if right is not None and right.rv is None:
+            todo.append(right)
+            continue
+        todo.pop()
+        k = g.kind
+        if g.kinds & ~_FG_KINDS:
+            g.rv = _NO_VALUE
+        elif k == UNDER:
+            # left\right is the complement of left˘;¬right
+            g.rv = _comp(_conv(left.rv), right.rv ^ _FULL) ^ _FULL
+        elif k == OVER:
+            # left/right is the complement of ¬left;right˘
+            g.rv = _comp(left.rv ^ _FULL, _conv(right.rv)) ^ _FULL
+        else:
+            g.rv = _comp(left.rv, right.rv)
+    return f.rv
+
+
+# each distinct free-group image once, so that formulas with equal images
+# share one tuple
+_IMAGES: dict = {}
+
+
+def _image(f: Formula) -> tuple | None:
+    """The free-group image of ``f``, or None outside ·,\\,/,1.  An image
+    not yet computed is filled, with every image below it that is
+    missing, by one children-first walk from an explicit stack."""
+    if f.kinds & ~_FG_KINDS:
+        return None
+    if f.fgw is not None:
+        return f.fgw
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        left = g.left
+        right = g.right
+        if left.fgw is None:
+            todo.append(left)
+            continue
+        if right.fgw is None:
+            todo.append(right)
+            continue
+        todo.pop()
+        k = g.kind
+        if k == UNDER:
+            w = _gmul(_ginv(left.fgw), right.fgw)
+        elif k == OVER:
+            w = _gmul(left.fgw, _ginv(right.fgw))
+        else:
+            w = _gmul(left.fgw, right.fgw)
+        g.fgw = _IMAGES.setdefault(w, w)
+    return f.fgw
+
+
+# compound nodes and ``1`` keyed (kind, left, right), atoms by their name
 _table: dict = {}
 
 _ATOM = r"[a-z][a-z0-9_]*(?:#[0-9]+)?"
 _ATOM_RE = re.compile(_ATOM + r"\Z")
 
 
-def _intern(kind: int, name: str | None, left: Formula | None,
+def _intern(kind: int, left: Formula | None,
             right: Formula | None) -> Formula:
-    key = (kind, name, left, right)
+    """The one node of a non-atom ``kind`` over these children; a new
+    node gets its structure only."""
+    key = (kind, left, right)
     f = _table.get(key)
     if f is not None:
         return f
     f = Formula.__new__(Formula)
     f.kind = kind
-    f.name = name
     f.left = left
     f.right = right
-    f.size = 1 + (left.size if left is not None else 0) \
-               + (right.size if right is not None else 0)
-    f.kinds = 1 << kind | (left.kinds if left is not None else 0) \
-                        | (right.kinds if right is not None else 0)
     f.nl = f.nr = 0
-    f.fgw = f.tv = None
-
-    if kind == ATOM:
-        f.top = name
-        pos = (name, 1)
-        _INV[pos] = neg = (name, -1)
-        _INV[neg] = pos
-        f.fgw = (pos,)
-        f.tv = _atom_tv(name)
-    elif kind == UNIT:
-        f.top = None
+    f.top = f.fgw = f.rv = None
+    if left is None:             # UNIT
+        f.size = 1
+        f.kinds = 1 << UNIT
         f.fgw = ()
-        f.tv = _ID
-    elif kind == UNDER:          # left \ right
-        f.top = right.top
-        f.nl = right.nl + 1
-        f.nr = right.nr
-        if left.fgw is not None and right.fgw is not None:
-            f.fgw = _gmul(_ginv(left.fgw), right.fgw)
-            # left\right is the complement of left˘;¬right
-            f.tv = _comp(_conv(left.tv), right.tv ^ _FULL) ^ _FULL
-    elif kind == OVER:           # left / right
-        f.top = left.top
-        f.nl = left.nl
-        f.nr = left.nr + 1
-        if left.fgw is not None and right.fgw is not None:
-            f.fgw = _gmul(left.fgw, _ginv(right.fgw))
-            # left/right is the complement of ¬left;right˘
-            f.tv = _comp(left.tv ^ _FULL, _conv(right.tv)) ^ _FULL
-    elif kind == PROD:
-        f.top = None
-        if left.fgw is not None and right.fgw is not None:
-            f.fgw = _gmul(left.fgw, right.fgw)
-            f.tv = _comp(left.tv, right.tv)
-    else:                        # STAR, PLUS, OR, AND: outside the fg fragment
-        f.top = None
-
+        f.rv = _ID
+    elif right is None:          # STAR, PLUS
+        f.size = 1 + left.size
+        f.kinds = 1 << kind | left.kinds
+    else:
+        f.size = 1 + left.size + right.size
+        f.kinds = 1 << kind | left.kinds | right.kinds
+        if kind == UNDER:        # left \ right
+            f.top = right.top
+            f.nl = right.nl + 1
+            f.nr = right.nr
+        elif kind == OVER:       # left / right
+            f.top = left.top
+            f.nl = left.nl
+            f.nr = left.nr + 1
     _table[key] = f
+    return f
+
+
+def _atom(name: str) -> Formula:
+    """The one atom named ``name``, which the caller has checked; a new
+    atom gets its image and value at once, and registers its letters."""
+    f = _table.get(name)
+    if f is not None:
+        return f
+    f = Formula.__new__(Formula)
+    f.kind = ATOM
+    f.left = f.right = None
+    f.size = 1
+    f.kinds = 1 << ATOM
+    f.top = name
+    f.nl = f.nr = 0
+    pos = (name, 1)
+    _INV[pos] = neg = (name, -1)
+    _INV[neg] = pos
+    w = (pos,)
+    f.fgw = _IMAGES.setdefault(w, w)
+    f.rv = _atom_tv(name)
+    _table[name] = f
     return f
 
 
@@ -332,47 +441,51 @@ def _rebuild(f: Formula, left: Formula | None,
     """``f`` with new children, or ``f`` itself when both are unchanged."""
     if left is f.left and right is f.right:
         return f
-    return _intern(f.kind, f.name, left, right)
+    return _intern(f.kind, left, right)
 
 
 def Atom(name: str) -> Formula:
+    # a name already interned passed the pattern when it was first built
+    f = _table.get(name) if name.__class__ is str else None
+    if f is not None:
+        return f
     if not _ATOM_RE.match(name):
         raise ValueError(f"bad atom name: {name!r}")
-    return _intern(ATOM, name, None, None)
+    return _atom(name)
 
 
 def Unit() -> Formula:
-    return _intern(UNIT, None, None, None)
+    return _intern(UNIT, None, None)
 
 
 def Under(left: Formula, right: Formula) -> Formula:
     """left \\ right"""
-    return _intern(UNDER, None, left, right)
+    return _intern(UNDER, left, right)
 
 
 def Over(left: Formula, right: Formula) -> Formula:
     """left / right"""
-    return _intern(OVER, None, left, right)
+    return _intern(OVER, left, right)
 
 
 def Prod(left: Formula, right: Formula) -> Formula:
-    return _intern(PROD, None, left, right)
+    return _intern(PROD, left, right)
 
 
 def Star(arg: Formula) -> Formula:
-    return _intern(STAR, None, arg, None)
+    return _intern(STAR, arg, None)
 
 
 def Plus(arg: Formula) -> Formula:
-    return _intern(PLUS, None, arg, None)
+    return _intern(PLUS, arg, None)
 
 
 def Or(left: Formula, right: Formula) -> Formula:
-    return _intern(OR, None, left, right)
+    return _intern(OR, left, right)
 
 
 def And(left: Formula, right: Formula) -> Formula:
-    return _intern(AND, None, left, right)
+    return _intern(AND, left, right)
 
 
 # --------------------------------------------------------------------------
@@ -484,7 +597,7 @@ def render_formula(f: Formula) -> str:
         if _LEVEL[k] < lvl:
             todo += (")", (g, 0), "(")
         elif k == ATOM:
-            out.append(g.name)
+            out.append(g.top)
         elif k == UNIT:
             out.append("1")
         elif k == STAR or k == PLUS:
@@ -497,9 +610,14 @@ def render_formula(f: Formula) -> str:
 
 
 def render_sequent(s: Sequent) -> str:
-    lhs = ", ".join(render_formula(a) for a in s.antecedent)
+    return _sequent_text(s, render_formula)
+
+
+def _sequent_text(s: Sequent, text) -> str:
+    """``s`` written with ``text`` for each formula."""
+    lhs = ", ".join([text(a) for a in s.antecedent])
     arrow = "-> " if not lhs else " -> "
-    return lhs + arrow + render_formula(s.succedent)
+    return lhs + arrow + text(s.succedent)
 
 
 # --------------------------------------------------------------------------
@@ -548,17 +666,17 @@ def _formula(toks: list[str], i: int, end: int) -> tuple[Formula, int]:
             depth += 1
             continue
         if t == "1":
-            vals.append(_intern(UNIT, None, None, None))
+            vals.append(_intern(UNIT, None, None))
         elif t in _NOT_OPERANDS:
             raise ParseError(f"unexpected token {t!r}")
         else:
-            vals.append(_intern(ATOM, t, None, None))
+            vals.append(_atom(t))
         # then postfixes and ')' up to a binary operator or the end
         while True:
             t = toks[i] if i < end else None
             kind = _POSTFIX.get(t)
             if kind is not None:
-                vals[-1] = _intern(kind, None, vals[-1], None)
+                vals[-1] = _intern(kind, vals[-1], None)
                 i += 1
                 continue
             op = _BINARY.get(t)
@@ -570,7 +688,7 @@ def _formula(toks: list[str], i: int, end: int) -> tuple[Formula, int]:
             while ops[-1][0] >= need:
                 kind = ops.pop()[1]
                 right = vals.pop()
-                vals[-1] = _intern(kind, None, vals[-1], right)
+                vals[-1] = _intern(kind, vals[-1], right)
             if op is not None:
                 ops.append(op)
                 i += 1
@@ -620,11 +738,12 @@ def parse_sequent(text: str) -> Sequent:
 
 def fg_interp(f: Formula) -> GroupWord:
     """Free-group image of a formula in the ·, \\, /, 1 fragment."""
-    if f.fgw is None:
+    w = _image(f)
+    if w is None:
         raise FragmentError(
-            f"no free-group image for {render_formula(f)} "
+            f"no free-group image for {_brief(f)} "
             "(only ., \\, /, 1 and atoms have one)")
-    return GroupWord(f.fgw)
+    return GroupWord(w)
 
 
 def sequence_image(formulas: Iterable[Formula]) -> GroupWord:
@@ -632,10 +751,10 @@ def sequence_image(formulas: Iterable[Formula]) -> GroupWord:
     multiplied in order."""
     acc = ()
     for f in formulas:
-        if f.fgw is None:
-            raise FragmentError(
-                f"no free-group image for {render_formula(f)}")
-        acc = _gmul(acc, f.fgw)
+        w = _image(f)
+        if w is None:
+            raise FragmentError(f"no free-group image for {_brief(f)}")
+        acc = _gmul(acc, w)
     return GroupWord(acc)
 
 
@@ -648,7 +767,7 @@ def top_of(f: Formula) -> str:
     """Head atom of a division formula: the atom reached by following
     numerators through \\ and /."""
     if f.top is None:
-        raise FragmentError(f"no head atom for {render_formula(f)}")
+        raise FragmentError(f"no head atom for {_brief(f)}")
     return f.top
 
 
@@ -669,7 +788,7 @@ def atoms_of(*roots: Formula) -> frozenset[str]:
             continue
         seen.add(g)
         if g.kind == ATOM:
-            out.add(g.name)
+            out.add(g.top)
         else:
             if g.left is not None:
                 stack.append(g.left)

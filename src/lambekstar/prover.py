@@ -29,8 +29,8 @@ from .checker import assert_valid_derivation, check_derivation
 from .formula import (
     ATOM, UNIT, UNDER, OVER, PROD, STAR, PLUS, OR, AND,
     BudgetError, CertificateError, Derivation, Formula, FragmentError,
-    Prod, Sequent, Star, _Record, _rebuild, _truth, fg_interp,
-    render_formula, render_sequent, sequence_image,
+    Prod, Sequent, Star, _NO_VALUE, _Record, _brief, _rebuild, _truth,
+    _values, fg_interp, render_sequent, sequence_image,
 )
 
 __all__ = [
@@ -132,7 +132,7 @@ def normalize_plus(f: Formula) -> Formula:
 
 def _refuse_star(a: Formula) -> Formula:
     raise FragmentError(
-        f"{render_formula(Star(a))} occurs in negative position; the left "
+        f"{_brief(Star(a))} occurs in negative position; the left "
         "iteration rule is an ω-rule and cannot be searched")
 
 
@@ -183,26 +183,35 @@ def prove(sequent: Sequent, *, restricted: bool = False,
           budget: int = DEFAULT_BUDGET) -> ProofResult:
     """Decide a sequent, producing a derivation certificate when provable.
 
-    One fold of ``kinds`` over the sequent decides both the entry walk
-    and the engine: without ``^*`` or ``^+`` no formula is walked, and a
-    sequent of atoms, ``\\`` and ``/`` alone goes to the focused kernel,
-    anything else to the general engine.  The one walk normalises ``A^+``
-    to ``A.A^*``, so the certificate's sequents mention only ``^*``, and
-    refuses stars in negative position.  Raises
-    :class:`BudgetError` after ``budget`` expansion steps, which still count
-    in ``session.steps_used``; the session stays sound, because the memo
-    only ever holds finished results.
+    One fold of ``kinds`` over the sequent decides both the polarity walk
+    and the engine: without ``^*`` or ``^+`` no formula is rewritten, and
+    a sequent of atoms, ``\\`` and ``/`` alone goes to the focused kernel,
+    anything else to the general engine.  The polarity walk normalises
+    ``A^+`` to ``A.A^*``, so the certificate's sequents mention only
+    ``^*``, and refuses stars in negative position.  Then the relational
+    values of the subformulas are filled where missing, so that both
+    engines read stored values.  Raises :class:`BudgetError` after
+    ``budget`` expansion steps, which still count in
+    ``session.steps_used``; the session stays sound, because the memo only
+    ever holds finished results.
     """
     session = _session_for(session, restricted)
     kinds = _kinds(sequent)
     seq = _prepare(sequent, restricted, kinds)
+    # both engines read the stored values of every subformula
+    succ = seq.succedent
+    if succ.rv is None:
+        _values(succ)
+    for f in seq.antecedent:
+        if f.rv is None:
+            _values(f)
     box = [budget]
     try:
         if not kinds & ~_DIVISION:
-            d = _search.search(seq.antecedent, seq.succedent, session.memo,
-                               box, restricted)
+            d = _search.search(seq.antecedent, succ, session.memo, box,
+                               restricted)
         else:
-            d = _general(seq.antecedent, seq.succedent, session.memo, box,
+            d = _general(seq.antecedent, succ, session.memo, box,
                          restricted)
     finally:
         session.steps_used += budget - box[0]
@@ -317,8 +326,9 @@ def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
                 else Derivation("|->", Sequent(ant, succ), (p1, p2))
 
     # the relational test of the kernel, where every formula has a value
-    if succ.tv is not None and all(f.tv is not None for f in ant) \
-            and _truth(ant) & ~succ.tv:
+    if succ.rv is not _NO_VALUE \
+            and all(f.rv is not _NO_VALUE for f in ant) \
+            and _truth(ant) & ~succ.rv:
         return None
 
     # axioms

@@ -31,7 +31,7 @@ from .checker import assert_valid_derivation
 from .formula import (
     ATOM, OVER, PLUS, PROD, STAR, UNDER,
     Derivation, Formula, FragmentError, LambekError, Or, Prod, Sequent,
-    Unit, _Record, division_pure, render_formula, render_sequent,
+    Unit, _Record, _brief, _sequent_text, division_pure, render_formula,
 )
 from .prover import (_DIVISION, DEFAULT_BUDGET, ProverSession, _polar,
                      _session_for, normalize_plus, prove)
@@ -180,7 +180,7 @@ def _inst(f: Formula, bound: int,
         out = tuple(sorted(seen, key=_seq_key))
     else:
         raise FragmentError(
-            f"{render_formula(f)} is not *-external; cannot expand instances")
+            f"{_brief(f)} is not *-external; cannot expand instances")
     memo[f] = out
     return out
 
@@ -191,7 +191,7 @@ def instances(f: Formula, bound: int) -> tuple[tuple[Formula, ...], ...]:
     unfolded at most ``bound`` times."""
     if not _formula_star_external(f):
         raise FragmentError(
-            f"{render_formula(f)} is not *-external; cannot expand instances")
+            f"{_brief(f)} is not *-external; cannot expand instances")
     if bound < 0:
         raise ValueError("instance bound must be >= 0")
     return _inst(f, bound, {})
@@ -227,7 +227,7 @@ def check_instances(s: Sequent, bound: int = 3, *,
     """
     session = _session_for(session, False)
     if not is_star_external(s):
-        raise FragmentError(f"{render_sequent(s)} is not *-external")
+        raise FragmentError(f"{_sequent_text(s, _brief)} is not *-external")
     per_formula = [instances(f, bound) for f in s.antecedent]
     combos = sorted(
         {tuple(itertools.chain.from_iterable(pick))
@@ -278,7 +278,7 @@ def derive_identity(f: Formula) -> Derivation:
         else:
             raise FragmentError(
                 f"identity expansion needs a division-pure formula, got "
-                f"{render_formula(g)}")
+                f"{_brief(g)}")
     return done[f]
 
 
@@ -342,12 +342,12 @@ def instance_soundness(f: Formula, inst: Sequence[Formula]) -> Derivation:
     source = normalize_plus(f)
     if not _formula_star_external(source):
         raise FragmentError(
-            f"{render_formula(f)} is not *-external; cannot expand instances")
+            f"{_brief(f)} is not *-external; cannot expand instances")
     seq = tuple(inst)
     cert = _membership_cert(source, seq, {})
     if cert is None:
         raise InstanceMembershipError(
-            f"{render_sequent(Sequent(seq, source))} is not an instance "
-            f"membership")
+            f"{_sequent_text(Sequent(seq, source), _brief)} is not an "
+            "instance membership")
     assert_valid_derivation(cert)
     return cert

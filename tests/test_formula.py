@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +16,13 @@ from lambekstar import (And, Atom, Derivation, FragmentError, GroupWord,
                         ParseError, Plus, Prod, Sequent, Star, Under, Unit,
                         VarSupply, atoms_of, curried_division, division_pure,
                         fg_interp, naive_prove, parse_formula, parse_sequent,
-                        render_formula, render_sequent, sentinel,
+                        prove, render_formula, render_sequent, sentinel,
                         sequence_image, split_curried, top_of, type_raise,
                         zero_balanced)
+from lambekstar import formula, prover
 from lambekstar.formula import (AND, ATOM, OR, OVER, PLUS, PROD, STAR, UNDER,
-                                UNIT, _REPR_MAX_SIZE, _comp, _truth)
+                                UNIT, _NO_VALUE, _REPR_MAX_SIZE, _comp,
+                                _truth)
 
 from helpers import random_division_pure
 
@@ -260,6 +263,23 @@ def test_deep_formula_renders():
         == "p" + ".p" * 2000
 
 
+def test_deep_chain_costs_linear_memory():
+    # a node is built with its structure only: when every node kept its
+    # free-group image as a fresh tuple, this chain traced about 140 MB
+    text = "p\\" * 6000 + "p"
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        assert render_formula(parse_formula(text)) == text
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+
+
 # --------------------------------------------------------------------------
 # sequent and derivation records
 
@@ -351,6 +371,77 @@ class TestFreeGroup:
         except FragmentError:
             return
         assert fg_interp(g) == img * img
+
+
+# --------------------------------------------------------------------------
+# structure-only nodes: values and images on first use
+
+def nodes_of(*roots):
+    """Every distinct node of ``roots``."""
+    seen, todo = set(), list(roots)
+    while todo:
+        g = todo.pop()
+        if g not in seen:
+            seen.add(g)
+            todo += [c for c in (g.left, g.right) if c is not None]
+    return seen
+
+
+class TestStructureOnlyNodes:
+    def test_a_new_node_holds_no_value_and_no_image(self):
+        # atom names no other test uses, so every compound node is new
+        x, y = Atom("lazy_x"), Atom("lazy_y")
+        assert x.rv is not None and x.fgw == (("lazy_x", 1),)
+        for make in (Under, Over, Prod):
+            f = make(x, make(y, x))
+            assert f.rv is None and f.fgw is None
+            assert f.right.rv is None and f.right.fgw is None
+            assert f.name is None and x.name == "lazy_x"
+            value = f.tv                # filled all the way down
+            assert value == f.rv and f.right.rv is not None
+            assert f.fgw is None and f.right.fgw is None
+            image = fg_interp(f)
+            assert f.fgw is image.letters and f.right.fgw is not None
+
+    def test_prove_leaves_a_value_on_every_node_it_searched(self,
+                                                            monkeypatch):
+        for text in ("lazy_p, lazy_p\\(lazy_q/lazy_r), lazy_r -> lazy_q",
+                     "lazy_p, lazy_q -> lazy_p.(lazy_r\\lazy_r)^*.lazy_q"):
+            s = parse_sequent(text)
+            assert any(n.rv is None
+                       for n in nodes_of(*s.antecedent, s.succedent))
+            prove(s)
+            for n in nodes_of(*s.antecedent, s.succedent):
+                assert n.rv is not None
+                assert (n.rv is _NO_VALUE) == (n.kinds & 1 << STAR != 0)
+        # a second call walks nothing: every node is filled or marked
+        walked = []
+        monkeypatch.setattr(prover, "_values", walked.append)
+        assert prove(s).proved and walked == []
+
+    def test_equal_images_are_one_object(self):
+        x, y = Atom("image_x"), Atom("image_y")
+        w = fg_interp(Over(x, y)).letters                 # x y^-1
+        assert w == (("image_x", 1), ("image_y", -1))
+        assert fg_interp(Prod(x, Over(Unit(), y))).letters is w
+        assert fg_interp(Under(Under(y, x), y)).letters is not w
+        assert fg_interp(Over(Prod(x, y), y)).letters \
+            is fg_interp(x).letters                       # x
+
+    def test_a_parsed_atom_is_the_factory_atom(self):
+        f = parse_formula("parsed_first")
+        assert f is Atom("parsed_first")
+        g = Atom("built_first")
+        assert parse_formula("built_first\\parsed_first").left is g
+
+    def test_bad_atom_names_fail_as_before(self):
+        with pytest.raises(ValueError, match=r"^bad atom name: 'Bad'$"):
+            Atom("Bad")
+        # the intern table also holds tuple keys: none of them is an atom
+        for bad in (3, None, (UNIT, None, None), ["p"]):
+            with pytest.raises(TypeError, match="expected string"):
+                Atom(bad)
+        assert Atom("p") is formula._table["p"]
 
 
 # --------------------------------------------------------------------------

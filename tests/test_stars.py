@@ -137,6 +137,42 @@ class TestStarExternal:
         assert is_star_external(Sequent((bad,), P)) is False
         assert instances(good, 0) == ((),)
 
+    def test_a_shared_tower_is_refused_in_a_short_text(self):
+        # the refusal names a formula of more tree nodes than repr renders
+        # by repr's short form, not by its 2**60-fold rendering
+        bad = Under(Star(P), Q)
+        for _ in range(60):
+            bad = Prod(bad, bad)
+        brief = f"<formula of size {bad.size}, top connective .>"
+        for refuse in (lambda: instances(bad, 1),
+                       lambda: instance_soundness(bad, ())):
+            with pytest.raises(FragmentError) as e:
+                refuse()
+            assert str(e.value) == \
+                f"{brief} is not *-external; cannot expand instances"
+            assert len(str(e.value)) < 200
+        with pytest.raises(FragmentError) as e:
+            check_instances(Sequent((bad, P), Q))
+        assert str(e.value) == f"{brief}, p -> q is not *-external"
+        with pytest.raises(FragmentError) as e:
+            derive_identity(Over(Q, bad))
+        assert str(e.value) == ("identity expansion needs a division-pure "
+                                f"formula, got {brief}")
+
+    def test_ordinary_refusals_name_the_whole_formula(self):
+        f = Under(Star(P), Q)
+        for refuse in (lambda: instances(f, 1),
+                       lambda: instance_soundness(f, ())):
+            with pytest.raises(FragmentError, match=r"^p\^\*\\q is not "
+                               r"\*-external; cannot expand instances$"):
+                refuse()
+        with pytest.raises(FragmentError,
+                           match=r"^-> q\^\* is not \*-external$"):
+            check_instances(parse_sequent("-> q^*"))
+        with pytest.raises(FragmentError, match=r"^identity expansion needs "
+                           r"a division-pure formula, got p\.q$"):
+            derive_identity(Over(Q, Prod(P, Q)))
+
 
 class TestInstances:
     def test_division_pure_formula_is_its_own_only_instance(self):

@@ -27,11 +27,13 @@ fresh checkouts without bytecode caches.  Then, in each checkout:
 * ``compile_unique`` of the grammar ``S -> A S b | b; A -> a A | ``
   (unique types of 1,879 and 3,379 nodes), 3 alternating pairs, each run
   in a fresh process, with each side's median seconds and peak RSS;
-* ``parse_formula`` of the 2,000-deep ``p\\p\\...\\p``, then
+* ``parse_formula`` of the 6,000-deep ``p\\p\\...\\p``, then
   ``render_formula`` of the parsed chain, 3 alternating pairs, each run
   in a fresh process, recording each one's seconds or, when it raises,
   the exception's class name (a recursive parser or renderer gives
-  ``RecursionError``), with each side's median seconds;
+  ``RecursionError``), and its peak RSS, with each side's medians (a
+  node that keeps its free-group image from birth makes the parse
+  quadratic: about 0.4 s and 155 MB at this depth);
 * small calls, 3 alternating pairs, each run in a fresh process, with
   each side's medians: the best-of-7 per-call
   microseconds (2,000 calls a repeat) of ``prove`` on ``p, p\\q -> q`` and
@@ -142,7 +144,7 @@ print(json.dumps({
 DEEP_PARSE = """
 import json, time
 from lambekstar import parse_formula, render_formula
-text = "p\\\\" * 2000 + "p"
+text = "p\\\\" * 6000 + "p"
 t0 = time.perf_counter()
 try:
     f = parse_formula(text)
@@ -156,6 +158,7 @@ if f is not None:
         out["render_seconds"] = round(time.perf_counter() - t0, 3)
     except Exception as e:
         out["render_exception"] = type(e).__name__
+out["peak_rss_mb"] = round(status_mb("VmHWM"), 1)
 print(json.dumps(out))
 """
 
@@ -379,10 +382,11 @@ def main() -> int:
                     "alternating pairs, parent first in odd pairs",
             "runs": [], "medians": {}},
         "deep_parse": {
-            "what": "parse_formula, then render_formula, of the 2,000-deep "
+            "what": "parse_formula, then render_formula, of the 6,000-deep "
                     "p\\p\\...\\p in a fresh process: seconds, or the "
-                    f"exception's class name; {ONE_OFF_PAIRS} alternating "
-                    "pairs, parent first in odd pairs",
+                    "exception's class name, and peak RSS (VmHWM); "
+                    f"{ONE_OFF_PAIRS} alternating pairs, parent first in odd "
+                    "pairs",
             "runs": [], "medians": {}},
         "small_calls": {
             "what": "best-of-7 per-call us of prove(p, p\\q -> q) and of "
@@ -465,7 +469,7 @@ def main() -> int:
         alternating("compile_large_grammar", COMPILE, ONE_OFF_PAIRS,
                     ("seconds", "peak_rss_mb"))
         alternating("deep_parse", DEEP_PARSE, ONE_OFF_PAIRS,
-                    ("seconds", "render_seconds"))
+                    ("seconds", "render_seconds", "peak_rss_mb"))
         alternating("small_calls", SMALL_CALLS, ONE_OFF_PAIRS,
                     ("prove_us", "instance_soundness_us",
                      "sequents_per_pass", "derivations_per_pass"))
