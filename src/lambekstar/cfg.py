@@ -195,7 +195,8 @@ def parse_cfg(text: str) -> Grammar:
             continue
         if line.startswith("@start"):
             parts = line.split()
-            if len(parts) != 2 or not is_nonterminal(parts[1]):
+            if len(parts) != 2 or parts[0] != "@start" \
+                    or not is_nonterminal(parts[1]):
                 raise GrammarError(f"line {ln}: malformed @start directive")
             start = parts[1]
             continue

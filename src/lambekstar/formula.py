@@ -7,18 +7,17 @@ node is built with its structure only: its node count (``size``), the
 connectives it uses (``kinds``), its head atom (``top``, an atom's own
 name) and the number of ``\\`` and ``/`` denominators on its spine down to
 that atom (``nl``, ``nr``).  Its values under 64 fixed valuations in the
-binary relations on a two-point set (``tv``) and its free-group image
-(``fgw``) are computed the first time something needs them, by one
-children-first walk from an explicit stack that stores them in every node
-below that lacks them; atoms and ``1`` have theirs from birth.  ``prove``
-fills the values of its sequent before either engine runs, and both
-provers refute through the values alone.  The images serve the public API
-(:func:`fg_interp`, :func:`sequence_image`, :func:`zero_balanced`), the
-join precondition and the certificate audit; each distinct image is one
-shared tuple, and every image holds one object per letter however often
-the letter occurs (interning an atom makes its positive letter and
-registers the inverse).  ``top``, ``tv`` and the images are ``None``
-outside the fragments where they make sense.
+binary relations on a two-point set (``tv``) are computed the first time
+something needs them, by one children-first walk from an explicit stack
+that stores them in every node below that lacks them; atoms and ``1``
+have theirs from birth.  ``prove`` fills the values of its sequent before
+either engine runs, and both provers refute through the values alone.
+Free-group images are not stored: :func:`fg_interp`,
+:func:`sequence_image` and :func:`zero_balanced` compute one by a single
+linear walk over the atom occurrences, for the join precondition, the
+compiler's zero-balance check and the certificate audit.  ``top`` and
+``tv`` are ``None``, and images are refused, outside the fragments where
+they make sense.
 
 Concrete syntax, loosest to tightest::
 
@@ -107,18 +106,9 @@ def _gmul(a: tuple, b: tuple) -> tuple:
     return a[:i] + b[j:]
 
 
-# letter -> its inverse letter.  Interning an atom registers its two
-# letters here, so every image shares one object per letter instead of
-# holding a fresh pair per occurrence (hash-consing, as for formulas).
-_INV: dict = {}
-
-
 def _ginv(a: tuple) -> tuple:
-    """The inverse word: letters reversed, each replaced by its shared
-    inverse; a fresh pair only for a letter of an atom never interned,
-    which a :class:`GroupWord` may hold."""
-    inv = _INV
-    return tuple([inv.get(x) or (x[0], -x[1]) for x in reversed(a)])
+    """The inverse word: letters reversed, each with its sign flipped."""
+    return tuple([(n, -e) for n, e in reversed(a)])
 
 
 # --------------------------------------------------------------------------
@@ -248,7 +238,7 @@ class Formula:
     """A hash-consed formula node.  Build via the factory functions."""
 
     __slots__ = ("kind", "left", "right", "size", "kinds", "top",
-                 "nl", "nr", "fgw", "rv")
+                 "nl", "nr", "rv")
 
     kind: int
     left: "Formula | None"
@@ -259,10 +249,6 @@ class Formula:
                               # atom's own name
     nl: int                   # \ denominators on the spine to top (else 0)
     nr: int                   # / denominators on the spine to top (else 0)
-    fgw: tuple | None         # free-group image, one shared tuple per
-                              # distinct image; None until fg_interp or
-                              # sequence_image first needs it (search does
-                              # not read it)
     rv: object                # relational value: four 64-bit lanes, one per
                               # entry (0,0), (0,1), (1,0), (1,1) of a relation
                               # on {0, 1}, bit k of each under valuation k;
@@ -333,42 +319,6 @@ def _values(f: Formula) -> object:
     return f.rv
 
 
-# each distinct free-group image once, so that formulas with equal images
-# share one tuple
-_IMAGES: dict = {}
-
-
-def _image(f: Formula) -> tuple | None:
-    """The free-group image of ``f``, or None outside ·,\\,/,1.  An image
-    not yet computed is filled, with every image below it that is
-    missing, by one children-first walk from an explicit stack."""
-    if f.kinds & ~_FG_KINDS:
-        return None
-    if f.fgw is not None:
-        return f.fgw
-    todo = [f]
-    while todo:
-        g = todo[-1]
-        left = g.left
-        right = g.right
-        if left.fgw is None:
-            todo.append(left)
-            continue
-        if right.fgw is None:
-            todo.append(right)
-            continue
-        todo.pop()
-        k = g.kind
-        if k == UNDER:
-            w = _gmul(_ginv(left.fgw), right.fgw)
-        elif k == OVER:
-            w = _gmul(left.fgw, _ginv(right.fgw))
-        else:
-            w = _gmul(left.fgw, right.fgw)
-        g.fgw = _IMAGES.setdefault(w, w)
-    return f.fgw
-
-
 # compound nodes and ``1`` keyed (kind, left, right), atoms by their name
 _table: dict = {}
 
@@ -389,11 +339,10 @@ def _intern(kind: int, left: Formula | None,
     f.left = left
     f.right = right
     f.nl = f.nr = 0
-    f.top = f.fgw = f.rv = None
+    f.top = f.rv = None
     if left is None:             # UNIT
         f.size = 1
         f.kinds = 1 << UNIT
-        f.fgw = ()
         f.rv = _ID
     elif right is None:          # STAR, PLUS
         f.size = 1 + left.size
@@ -415,7 +364,7 @@ def _intern(kind: int, left: Formula | None,
 
 def _atom(name: str) -> Formula:
     """The one atom named ``name``, which the caller has checked; a new
-    atom gets its image and value at once, and registers its letters."""
+    atom gets its value at once."""
     f = _table.get(name)
     if f is not None:
         return f
@@ -426,11 +375,6 @@ def _atom(name: str) -> Formula:
     f.kinds = 1 << ATOM
     f.top = name
     f.nl = f.nr = 0
-    pos = (name, 1)
-    _INV[pos] = neg = (name, -1)
-    _INV[neg] = pos
-    w = (pos,)
-    f.fgw = _IMAGES.setdefault(w, w)
     f.rv = _atom_tv(name)
     _table[name] = f
     return f
@@ -736,26 +680,57 @@ def parse_sequent(text: str) -> Sequent:
 # --------------------------------------------------------------------------
 # fragment helpers
 
+def _word(formulas: Iterable[Formula], note: str = "") -> tuple:
+    """The reduced free-group word of a formula sequence: ``A\\B`` reads
+    as A⁻¹B, ``A/B`` as AB⁻¹, ``A·B`` as AB and ``1`` as nothing.  One
+    walk from an explicit stack visits the atom occurrences in order (an
+    inverted node reads its children in reverse with flipped signs) and
+    pushes each signed letter onto one output stack, where it cancels
+    against its inverse on top.  A formula outside ·,\\,/,1 raises
+    :class:`FragmentError` naming it, with ``note`` appended.
+
+    The walk costs the formulas' tree size, not their DAG size: linear
+    for anything parsed from text, but exponential for a formula built
+    through the API with exponential sharing (a ``Prod(f, f)`` tower's
+    image has exponentially many letters anyway)."""
+    out: list = []
+    for f in formulas:
+        if f.kinds & ~_FG_KINDS:
+            raise FragmentError(f"no free-group image for {_brief(f)}{note}")
+        g, e = f, 1                 # the node being read, and its sign
+        todo = []                   # (node, sign) pairs still to read
+        while True:
+            k = g.kind
+            if k == ATOM:
+                x = g.top
+                if out and out[-1][0] == x and out[-1][1] == -e:
+                    out.pop()
+                else:
+                    out.append((x, e))
+            elif k != UNIT:
+                # read the first child now and push the second
+                if e > 0:
+                    todo.append((g.right, -1 if k == OVER else 1))
+                    g, e = g.left, -1 if k == UNDER else 1
+                else:
+                    todo.append((g.left, 1 if k == UNDER else -1))
+                    g, e = g.right, 1 if k == OVER else -1
+                continue
+            if not todo:
+                break
+            g, e = todo.pop()
+    return tuple(out)
+
+
 def fg_interp(f: Formula) -> GroupWord:
     """Free-group image of a formula in the ·, \\, /, 1 fragment."""
-    w = _image(f)
-    if w is None:
-        raise FragmentError(
-            f"no free-group image for {_brief(f)} "
-            "(only ., \\, /, 1 and atoms have one)")
-    return GroupWord(w)
+    return GroupWord(_word((f,), " (only ., \\, /, 1 and atoms have one)"))
 
 
 def sequence_image(formulas: Iterable[Formula]) -> GroupWord:
     """Free-group image of a formula sequence: its members' images
     multiplied in order."""
-    acc = ()
-    for f in formulas:
-        w = _image(f)
-        if w is None:
-            raise FragmentError(f"no free-group image for {_brief(f)}")
-        acc = _gmul(acc, w)
-    return GroupWord(acc)
+    return GroupWord(_word(formulas))
 
 
 def zero_balanced(f: Formula) -> bool:

@@ -312,23 +312,33 @@ def _star_cert(f: Formula, seq: tuple[Formula, ...],
                memo: dict) -> Derivation | None:
     if not seq:
         return Derivation("->*_0", Sequent((), f), ())
+    body = f.left
+
     # Partition seq into non-empty blocks, each an instance of the body.
-    def blocks(rest: tuple[Formula, ...]) -> list[Derivation] | None:
+    # The blocks of each rest are memoised per (body, rest), so a failed
+    # split is tried once, not once per way of reaching it.
+    def blocks(rest: tuple[Formula, ...]) -> tuple[Derivation, ...] | None:
         if not rest:
-            return []
+            return ()
+        key = (STAR, body, rest)
+        if key in memo:
+            return memo[key]
+        result = None
         for take in range(1, len(rest) + 1):
-            head = _membership_cert(f.left, rest[:take], memo)
+            head = _membership_cert(body, rest[:take], memo)
             if head is None:
                 continue
             tail = blocks(rest[take:])
             if tail is not None:
-                return [head] + tail
-        return None
+                result = (head,) + tail
+                break
+        memo[key] = result
+        return result
 
     parts = blocks(seq)
     if parts is None:
         return None
-    return Derivation(f"->*_{len(parts)}", Sequent(seq, f), tuple(parts))
+    return Derivation(f"->*_{len(parts)}", Sequent(seq, f), parts)
 
 
 def instance_soundness(f: Formula, inst: Sequence[Formula]) -> Derivation:

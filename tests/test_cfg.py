@@ -38,6 +38,7 @@ class TestParsing:
         "S -> a B",                 # B never defined
         "S -> A^",                  # bad symbol
         "@start T\nS -> a",         # start without rules
+        "@starting S\nS -> a",      # not the @start directive
         "-> a",                     # missing lhs
     ])
     def test_rejects_malformed(self, bad):

@@ -1,6 +1,8 @@
 """Tests for star approximation and bounded instance expansion."""
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from lambekstar import (
@@ -235,6 +237,12 @@ class TestInstanceSoundness:
             instance_soundness(P, ())
         with pytest.raises(InstanceMembershipError):
             instance_soundness(Plus(P), ())
+        # a failed split of the star's body is tried once per rest: the
+        # unmemoised split took about 7 s here, four times more per two p
+        started = time.perf_counter()
+        with pytest.raises(InstanceMembershipError):
+            instance_soundness(Star(Star(P)), (P,) * 22 + (Q,))
+        assert time.perf_counter() - started < 1
 
     def test_identity_certificates(self, rng):
         for _ in range(15):

@@ -28,12 +28,13 @@ fresh checkouts without bytecode caches.  Then, in each checkout:
   (unique types of 1,879 and 3,379 nodes), 3 alternating pairs, each run
   in a fresh process, with each side's median seconds and peak RSS;
 * ``parse_formula`` of the 6,000-deep ``p\\p\\...\\p``, then
-  ``render_formula`` of the parsed chain, 3 alternating pairs, each run
-  in a fresh process, recording each one's seconds or, when it raises,
-  the exception's class name (a recursive parser or renderer gives
-  ``RecursionError``), and its peak RSS, with each side's medians (a
-  node that keeps its free-group image from birth makes the parse
-  quadratic: about 0.4 s and 155 MB at this depth);
+  ``render_formula`` and ``fg_interp`` of the parsed chain, 3 alternating
+  pairs, each run in a fresh process, recording each one's seconds or,
+  when it raises, the exception's class name (a recursive parser or
+  renderer gives ``RecursionError``), the peak RSS after the render and
+  the peak RSS after the image, with each side's medians (a node that
+  keeps its free-group image makes the parse or the image quadratic:
+  about 0.4 to 0.8 s and 155 MB at this depth);
 * small calls, 3 alternating pairs, each run in a fresh process, with
   each side's medians: the best-of-7 per-call
   microseconds (2,000 calls a repeat) of ``prove`` on ``p, p\\q -> q`` and
@@ -143,7 +144,7 @@ print(json.dumps({
 
 DEEP_PARSE = """
 import json, time
-from lambekstar import parse_formula, render_formula
+from lambekstar import fg_interp, parse_formula, render_formula
 text = "p\\\\" * 6000 + "p"
 t0 = time.perf_counter()
 try:
@@ -159,6 +160,14 @@ if f is not None:
     except Exception as e:
         out["render_exception"] = type(e).__name__
 out["peak_rss_mb"] = round(status_mb("VmHWM"), 1)
+if f is not None:
+    t0 = time.perf_counter()
+    try:
+        fg_interp(f)
+        out["fg_seconds"] = round(time.perf_counter() - t0, 3)
+    except Exception as e:
+        out["fg_exception"] = type(e).__name__
+    out["fg_peak_rss_mb"] = round(status_mb("VmHWM"), 1)
 print(json.dumps(out))
 """
 
@@ -382,9 +391,11 @@ def main() -> int:
                     "alternating pairs, parent first in odd pairs",
             "runs": [], "medians": {}},
         "deep_parse": {
-            "what": "parse_formula, then render_formula, of the 6,000-deep "
-                    "p\\p\\...\\p in a fresh process: seconds, or the "
-                    "exception's class name, and peak RSS (VmHWM); "
+            "what": "parse_formula, then render_formula and fg_interp, of "
+                    "the 6,000-deep p\\p\\...\\p in a fresh process: "
+                    "seconds, or the exception's class name, and peak RSS "
+                    "(VmHWM) after the render (peak_rss_mb) and after the "
+                    "image (fg_peak_rss_mb); "
                     f"{ONE_OFF_PAIRS} alternating pairs, parent first in odd "
                     "pairs",
             "runs": [], "medians": {}},
@@ -469,7 +480,8 @@ def main() -> int:
         alternating("compile_large_grammar", COMPILE, ONE_OFF_PAIRS,
                     ("seconds", "peak_rss_mb"))
         alternating("deep_parse", DEEP_PARSE, ONE_OFF_PAIRS,
-                    ("seconds", "render_seconds", "peak_rss_mb"))
+                    ("seconds", "render_seconds", "peak_rss_mb",
+                     "fg_seconds", "fg_peak_rss_mb"))
         alternating("small_calls", SMALL_CALLS, ONE_OFF_PAIRS,
                     ("prove_us", "instance_soundness_us",
                      "sequents_per_pass", "derivations_per_pass"))
