@@ -12,20 +12,19 @@ from .formula import (
     LambekError, ParseError, FragmentError, BudgetError, CertificateError,
     parse_formula, render_formula, parse_sequent, render_sequent,
     render_derivation,
-    fg_interp, sequence_image, zero_balanced, top_of, division_pure,
+    fg_interp, sequence_image, zero_balanced, division_pure,
     curried_division, split_curried, type_raise, sentinel, atoms_of,
     VarSupply,
 )
 from .prover import (
     DEFAULT_BUDGET, ProofResult, ProverSession,
-    prove, prove_focused, naive_prove, normalize_plus,
-    invert_to_atomic, principal_candidates,
+    prove, naive_prove, normalize_plus,
     check_derivation, kernel_backend,
     ProofRecorder, enable_recording, disable_recording,
 )
 from .cfg import (
     Grammar, GnfCfg, GrammarError, EmptyWordError,
-    parse_cfg, render_cfg, cyk_member, enumerate_words,
+    parse_cfg, render_cfg, cyk_member,
     to_gnf2, total_plus_to_alt2,
 )
 from .joins import (
@@ -34,7 +33,7 @@ from .joins import (
 )
 from .compiler import (
     CompilerContext, CompiledGrammar, LambekGrammar, UnusedTerminalError,
-    compile_unique, compile_gaifman, build_is_formula, accepts,
+    compile_unique, compile_gaifman, accepts,
 )
 from .stars import (
     ApproximationOutcome, InstanceOutcome, InstanceMembershipError,

@@ -11,7 +11,6 @@ are capitalised tokens (``S``, ``NP_2``), terminals are lowercase tokens
   so the two cannot disagree about a grammar's language,
 * a CYK membership oracle working on that normal form, cached per
   grammar, so no transformation is required before querying,
-* length-lexicographic word enumeration by generate-and-test,
 * conversion to *binary Greibach normal form* (every rule is
   ``N => a``, ``N => a B`` or ``N => a B C``) via the left-corner
   transform, which avoids the exponential blow-up of substitution-based
@@ -30,13 +29,13 @@ import itertools
 import re
 import warnings
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .formula import LambekError, _Record
 
 __all__ = [
     "Grammar", "GnfCfg", "GrammarError", "EmptyWordError",
-    "parse_cfg", "render_cfg", "cyk_member", "enumerate_words",
+    "parse_cfg", "render_cfg", "cyk_member",
     "to_gnf2", "total_plus_to_alt2", "is_nonterminal", "is_terminal",
 ]
 
@@ -397,15 +396,6 @@ def cyk_member(g: Grammar, w: Sequence[str]) -> bool:
                         cell |= heads
             chart[(i, j)] = cell
     return g.start in chart[(0, n)]
-
-
-def enumerate_words(g: Grammar, max_len: int) -> Iterator[tuple[str, ...]]:
-    """Yield every word of ``L(g)`` up to ``max_len``, length-lex ordered."""
-    letters = tuple(sorted(set(g.terminals)))
-    for n in range(max_len + 1):
-        for w in itertools.product(letters, repeat=n):
-            if cyk_member(g, w):
-                yield w
 
 
 # --------------------------------------------------------------------------

@@ -293,12 +293,12 @@ def _check_star(d: Derivation) -> None:
     except ValueError:
         _fail(d, "malformed ->*_k label")
     _need_premises(d, k)
-    acc: tuple = ()
+    acc: list = []
     for p in d.premises:
         if p.conclusion.succedent is not succ.left:
             _fail(d, "block premise does not prove the starred formula")
         acc += p.conclusion.antecedent
-    if acc != _ant(d):
+    if tuple(acc) != _ant(d):
         _fail(d, "block antecedents do not concatenate to the conclusion")
 
 

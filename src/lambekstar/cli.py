@@ -437,12 +437,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"budget exhausted: {e} (raise --budget)", file=sys.stderr)
         return 3
     except RecursionError:
-        # the parser, the renderers, the checker, the *-external test and
-        # identity expansion keep explicit stacks; the search engines, the
-        # polarity rewrite at prove entry, instance expansion and
-        # membership, product elimination in joins and the --json
-        # derivation record still recurse, once per nesting level or
-        # formula
+        # the parser, the renderers, the checker, the *-external test,
+        # identity expansion, derivation hashing and equality, and the
+        # star block split keep explicit stacks or loops; the search
+        # engines, the polarity rewrite at prove entry, instance expansion
+        # and membership (per formula level), product elimination in joins
+        # and the --json derivation record (json.dumps has its own nesting
+        # limit) still recurse, once per nesting level or formula
         print("error: input too deep or too long", file=sys.stderr)
         return 2
     except (LambekError, OSError) as e:

@@ -40,7 +40,7 @@ from .prover import DEFAULT_BUDGET, ProverSession, _session_for, prove
 __all__ = [
     "CompilerContext", "CompiledGrammar", "LambekGrammar", "IsParts",
     "UnusedTerminalError", "compile_unique", "compile_gaifman",
-    "build_is_formula", "accepts",
+    "accepts",
 ]
 
 
@@ -57,8 +57,8 @@ class CompilerContext:
     ``is(·)`` display sequences.
     """
 
-    def __init__(self, supply: VarSupply | None = None):
-        self.supply = supply if supply is not None else VarSupply()
+    def __init__(self):
+        self.supply = VarSupply()
         self.x = self.supply.fresh("x")
         self.z = self.supply.fresh("z")
         self.u = self.supply.fresh("u")
@@ -188,18 +188,6 @@ def _build_is_parts(u_set: Sequence[Formula], ctx: CompilerContext,
     s_over_e = curried_division([], s, e)
     formula = curried_division([s_over_e, *b], s, c)
     return IsParts(members, formula, tuple(e), b, c, f_cert, g_cert)
-
-
-def build_is_formula(u_set: Sequence[Formula], ctx: CompilerContext,
-                     *, budget: int = DEFAULT_BUDGET) -> Formula:
-    """Fuse a family of zero-balanced formulas into one disjunction-like type.
-
-    The result ``is(U) = (s/E, B)\\s/C`` is derivable from every member of
-    the family but from neither the empty sequence nor any other
-    lexicon-relevant sequence; the embedded joins F and G carry
-    prover-verified certificates.
-    """
-    return _build_is_parts(u_set, ctx, budget=budget).formula
 
 
 def compile_unique(g: GnfCfg, *, budget: int = DEFAULT_BUDGET,

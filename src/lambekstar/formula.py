@@ -60,7 +60,7 @@ __all__ = [
     "Sequent", "Derivation",
     "parse_formula", "render_formula", "parse_sequent", "render_sequent",
     "render_derivation",
-    "curried_division", "split_curried", "top_of", "type_raise", "sentinel",
+    "curried_division", "split_curried", "type_raise", "sentinel",
     "atoms_of", "division_pure", "VarSupply",
 ]
 
@@ -482,7 +482,9 @@ class Sequent(_Record):
 class Derivation(_Record):
     """One node of a sequent derivation: a rule label, its conclusion and
     the premise subderivations in the order the rule schema lists them;
-    a plain slot record, immutable by contract."""
+    a plain slot record, immutable by contract.  ``hash`` reads the root's
+    rule and conclusion only, and ``==`` compares node pairs from an
+    explicit stack, so neither recurses on a deep derivation."""
 
     __slots__ = ("rule", "conclusion", "premises")
 
@@ -495,6 +497,23 @@ class Derivation(_Record):
         self.rule = rule
         self.conclusion = conclusion
         self.premises = premises
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:      # a shared subderivation is equal as it stands
+                continue
+            if (a.rule != b.rule or a.conclusion != b.conclusion
+                    or len(a.premises) != len(b.premises)):
+                return False
+            todo += zip(a.premises, b.premises)
+        return True
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.conclusion))
 
 
 def render_derivation(d: Derivation) -> str:
@@ -736,14 +755,6 @@ def sequence_image(formulas: Iterable[Formula]) -> GroupWord:
 def zero_balanced(f: Formula) -> bool:
     """True when the free-group image of ``f`` is the identity."""
     return fg_interp(f).is_identity
-
-
-def top_of(f: Formula) -> str:
-    """Head atom of a division formula: the atom reached by following
-    numerators through \\ and /."""
-    if f.top is None:
-        raise FragmentError(f"no head atom for {_brief(f)}")
-    return f.top
 
 
 def division_pure(f: Formula) -> bool:

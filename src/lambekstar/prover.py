@@ -35,8 +35,7 @@ from .formula import (
 
 __all__ = [
     "DEFAULT_BUDGET", "ProofResult", "ProverSession",
-    "prove", "prove_focused", "naive_prove", "normalize_plus",
-    "invert_to_atomic", "principal_candidates",
+    "prove", "naive_prove", "normalize_plus",
     "check_derivation", "kernel_backend",
     "ProofRecorder", "enable_recording", "disable_recording",
 ]
@@ -219,40 +218,6 @@ def prove(sequent: Sequent, *, restricted: bool = False,
     if d is not None:
         _record(seq, d, restricted)
     return result
-
-
-def prove_focused(sequent: Sequent, *, restricted: bool = False,
-                  session: ProverSession | None = None,
-                  budget: int = DEFAULT_BUDGET) -> ProofResult:
-    """The focused engine only; raises FragmentError off the \\,/ fragment."""
-    if _kinds(sequent) & ~_DIVISION:
-        raise FragmentError("focused search handles only atoms, \\ and /")
-    return prove(sequent, restricted=restricted, session=session,
-                 budget=budget)
-
-
-def invert_to_atomic(sequent: Sequent) -> Sequent:
-    """Apply the invertible right rules until the succedent is an atom."""
-    ant, succ = sequent.antecedent, sequent.succedent
-    while True:
-        if succ.kind == UNDER:
-            ant = (succ.left,) + ant
-            succ = succ.right
-        elif succ.kind == OVER:
-            ant = ant + (succ.right,)
-            succ = succ.left
-        else:
-            return Sequent(ant, succ)
-
-
-def principal_candidates(sequent: Sequent) -> tuple[int, ...]:
-    """Positions whose head atom matches the (atomic) succedent."""
-    succ = sequent.succedent
-    if succ.kind != ATOM:
-        raise FragmentError("candidates are defined for atomic succedents; "
-                            "apply invert_to_atomic first")
-    return tuple(i for i, f in enumerate(sequent.antecedent)
-                 if f.kind != ATOM and f.top == succ.name)
 
 
 # --------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def _inst(f: Formula, bound: int,
         rights = _inst(f.right, bound, memo)
         out = tuple(sorted({l + r for l in lefts for r in rights},
                            key=_seq_key))
-    elif f.kind in (STAR, PLUS):
+    else:           # STAR or PLUS: instances() checked *-externality
         blocks = _inst(f.left, bound, memo)
         seen: set[tuple[Formula, ...]] = set() if f.kind == PLUS else {()}
         level: set[tuple[Formula, ...]] = {()}
@@ -178,9 +178,6 @@ def _inst(f: Formula, bound: int,
             level = {seq + blk for seq in level for blk in blocks}
             seen |= level
         out = tuple(sorted(seen, key=_seq_key))
-    else:
-        raise FragmentError(
-            f"{_brief(f)} is not *-external; cannot expand instances")
     memo[f] = out
     return out
 
@@ -303,8 +300,7 @@ def _membership_cert(f: Formula, seq: tuple[Formula, ...],
             break
     elif f.kind == STAR:
         result = _star_cert(f, seq, memo)
-    if key not in memo:
-        memo[key] = result
+    memo[key] = result
     return result
 
 
@@ -313,32 +309,30 @@ def _star_cert(f: Formula, seq: tuple[Formula, ...],
     if not seq:
         return Derivation("->*_0", Sequent((), f), ())
     body = f.left
-
-    # Partition seq into non-empty blocks, each an instance of the body.
-    # The blocks of each rest are memoised per (body, rest), so a failed
-    # split is tried once, not once per way of reaching it.
-    def blocks(rest: tuple[Formula, ...]) -> tuple[Derivation, ...] | None:
-        if not rest:
-            return ()
-        key = (STAR, body, rest)
-        if key in memo:
-            return memo[key]
-        result = None
-        for take in range(1, len(rest) + 1):
-            head = _membership_cert(body, rest[:take], memo)
-            if head is None:
+    n = len(seq)
+    # Partition seq into non-empty blocks, each an instance of the body,
+    # taking the shortest first block whose rest also splits.  One pass
+    # from the right stores, for each start i, where that block ends and
+    # its certificate (end[i] is None when seq[i:] does not split); the
+    # blocks are then read off from the front.
+    end: list[int | None] = [None] * n + [n]
+    head: list[Derivation | None] = [None] * n
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n + 1):
+            if end[j] is None:
                 continue
-            tail = blocks(rest[take:])
-            if tail is not None:
-                result = (head,) + tail
+            cert = _membership_cert(body, seq[i:j], memo)
+            if cert is not None:
+                end[i], head[i] = j, cert
                 break
-        memo[key] = result
-        return result
-
-    parts = blocks(seq)
-    if parts is None:
+    if end[0] is None:
         return None
-    return Derivation(f"->*_{len(parts)}", Sequent(seq, f), parts)
+    parts = []
+    i = 0
+    while i < n:
+        parts.append(head[i])
+        i = end[i]
+    return Derivation(f"->*_{len(parts)}", Sequent(seq, f), tuple(parts))
 
 
 def instance_soundness(f: Formula, inst: Sequence[Formula]) -> Derivation:

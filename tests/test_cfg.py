@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from lambekstar import (EmptyWordError, GnfCfg, Grammar, GrammarError,
-                        cyk_member, enumerate_words, parse_cfg, render_cfg,
+                        cyk_member, parse_cfg, render_cfg,
                         to_gnf2, total_plus_to_alt2)
 
 from helpers import (OracleOverflow, oracle_words, random_epsfree_grammar,
@@ -109,16 +109,6 @@ class TestCyk:
         got = {w for w in words_up_to(("a", "b"), 6) if cyk_member(g, w)}
         assert got == want
 
-    def test_enumerate_words(self):
-        g = parse_cfg(ANBN)
-        assert tuple(enumerate_words(g, 4)) == (("a", "b"),
-                                                ("a", "a", "b", "b"))
-        aplus = parse_cfg("@start S\nS -> a S | a")
-        assert tuple(enumerate_words(aplus, 3)) == (("a",), ("a", "a"),
-                                                    ("a", "a", "a"))
-        empty = parse_cfg("@start S\nS -> a S")
-        assert tuple(enumerate_words(empty, 4)) == ()
-
 
 # --------------------------------------------------------------------------
 # GNF conversion
@@ -203,8 +193,9 @@ class TestAlt2Lift:
     def test_language_relation(self):
         g = parse_cfg("@start S\nS -> a S b | a b")
         lifted = total_plus_to_alt2(g)
-        inner = set(enumerate_words(g, 4))
-        outer = set(enumerate_words(lifted, 6))
+        inner = {w for w in words_up_to(("a", "b"), 4) if cyk_member(g, w)}
+        outer = {w for w in words_up_to(("a", "b"), 6)
+                 if cyk_member(lifted, w)}
         assert outer == {("a",) + w + ("b",) for w in inner} | {("a", "b")}
 
     def test_start_name_avoids_collisions(self):

@@ -17,7 +17,6 @@ from lambekstar import (
     Sequent,
     UnusedTerminalError,
     accepts,
-    build_is_formula,
     compile_gaifman,
     compile_unique,
     curried_division,
@@ -28,10 +27,10 @@ from lambekstar import (
     render_formula,
     sentinel,
     to_gnf2,
-    top_of,
     zero_balanced,
 )
 from lambekstar.checker import assert_valid_derivation, check_derivation
+from lambekstar.compiler import _build_is_parts
 
 
 @pytest.fixture(scope="module")
@@ -89,11 +88,11 @@ class TestIsConstruction:
 
     def test_heads_of_the_generated_formulas(self, g1):
         ctx = g1.context
-        assert top_of(g1.lexicon["a"]) == ctx.z
-        assert top_of(g1.h["N0"]) == ctx.z
-        assert top_of(g1.parts["a"].members[0]) == ctx.x
-        assert top_of(g1.sentinels["N0"]) == ctx.sentinel_params(0)[2]
-        assert top_of(g1.parts["a"].formula) == ctx.s
+        assert g1.lexicon["a"].top == ctx.z
+        assert g1.h["N0"].top == ctx.z
+        assert g1.parts["a"].members[0].top == ctx.x
+        assert g1.sentinels["N0"].top == ctx.sentinel_params(0)[2]
+        assert g1.parts["a"].formula.top == ctx.s
 
     def test_everything_in_the_lexicon_is_zero_balanced(self, g2):
         for f in g2.lexicon.values():
@@ -145,9 +144,9 @@ class TestIsConstruction:
     def test_family_preconditions(self):
         ctx = CompilerContext()
         with pytest.raises(ValueError):
-            build_is_formula([], ctx)
+            _build_is_parts([], ctx)
         with pytest.raises(ValueError):
-            build_is_formula([Atom("p")], ctx)
+            _build_is_parts([Atom("p")], ctx)
 
 
 class TestCompileUnique:

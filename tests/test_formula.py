@@ -17,7 +17,7 @@ from lambekstar import (And, Atom, Derivation, FragmentError, GroupWord,
                         VarSupply, atoms_of, curried_division, division_pure,
                         fg_interp, naive_prove, parse_formula, parse_sequent,
                         prove, render_formula, render_sequent, sentinel,
-                        sequence_image, split_curried, top_of, type_raise,
+                        sequence_image, split_curried, type_raise,
                         zero_balanced)
 from lambekstar import formula, prover
 from lambekstar.formula import (AND, ATOM, OR, OVER, PLUS, PROD, STAR, UNDER,
@@ -559,12 +559,11 @@ class TestHelpers:
             assert not division_pure(f)
 
     def test_top_of_follows_numerators(self):
-        assert top_of(p) == "p"
-        assert top_of(Under(p, q)) == "q"
-        assert top_of(Over(q, p)) == "q"
-        assert top_of(sentinel("p", "q", "r")) == "r"
-        with pytest.raises(FragmentError):
-            top_of(Prod(p, q))
+        assert p.top == "p"
+        assert Under(p, q).top == "q"
+        assert Over(q, p).top == "q"
+        assert sentinel("p", "q", "r").top == "r"
+        assert Prod(p, q).top is None
 
     def test_atoms_of(self):
         assert atoms_of(sentinel("p", "q", "r")) == {"p", "q", "r"}

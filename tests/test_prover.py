@@ -13,9 +13,9 @@ from lambekstar import (And, Atom, BudgetError, CertificateError,
                         Sequent, Star, Under, Unit, approximate,
                         check_derivation, cli, fg_interp,
                         kernel_backend, naive_prove, normalize_plus,
-                        parse_sequent, prove, prove_focused,
+                        parse_sequent, prove,
                         render_derivation, render_sequent, sequence_image,
-                        invert_to_atomic, principal_candidates, sentinel)
+                        sentinel)
 from lambekstar.checker import assert_valid_derivation
 from lambekstar.formula import Derivation, _truth
 from lambekstar.prover import _kinds, _prepare
@@ -241,7 +241,6 @@ class TestEngines:
         for _ in range(120):
             s = random_division_sequent(rng, 9)
             got = prove(s).proved
-            assert prove_focused(s).proved == got
             assert naive_prove(s) == got
 
     def test_restricted_agreement(self, rng):
@@ -328,10 +327,6 @@ class TestEngines:
         assert all(v is False or isinstance(v, Derivation)
                    for v in sess.memo.values())
         assert prove(s, session=sess).proved == naive_prove(s)
-
-    def test_focused_rejects_general_connectives(self):
-        with pytest.raises(FragmentError):
-            prove_focused(parse_sequent("p.q -> p.q"))
 
 
 # --------------------------------------------------------------------------
@@ -709,23 +704,6 @@ class TestCertificates:
 # search-space helpers
 
 class TestSearchHelpers:
-    def test_invert_to_atomic(self):
-        s = invert_to_atomic(parse_sequent("-> q/(p\\q)"))
-        assert s == parse_sequent("p\\q -> q")
-        s = invert_to_atomic(parse_sequent("p -> (q\\(q.r))/r"))
-        assert s == parse_sequent("q, p, r -> q.r")  # stops at the product
-
-    def test_invert_round_trips_derivability(self, rng):
-        for _ in range(40):
-            s = random_division_sequent(rng, 8)
-            assert prove(invert_to_atomic(s)).proved == prove(s).proved
-
-    def test_principal_candidates(self):
-        s = parse_sequent("q/p, p, p\\q -> q")
-        assert principal_candidates(s) == (0, 2)
-        with pytest.raises(FragmentError):
-            principal_candidates(parse_sequent("p -> q/q"))
-
     def test_normalize_plus_shares_structure(self):
         f = Under(p, q)
         assert normalize_plus(f) is f

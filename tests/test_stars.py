@@ -7,6 +7,7 @@ import pytest
 
 from lambekstar import (
     Atom,
+    Derivation,
     FragmentError,
     Or,
     Over,
@@ -276,6 +277,34 @@ class TestInstanceSoundness:
             f = Under(P, f)
         assert check_derivation(derive_identity(f))
         assert check_derivation(instance_soundness(f, (f,)))
+
+    def test_long_star_instances_split_without_recursion(self):
+        # 3,000 blocks, far above the default recursion limit
+        cert = instance_soundness(Star(P), (P,) * 3000)
+        assert cert.rule == "->*_3000"
+        assert check_derivation(cert)
+
+    def test_deep_derivations_hash_and_compare(self):
+        f = P
+        for _ in range(3000):
+            f = Under(P, f)
+        d1, d2 = derive_identity(f), derive_identity(f)
+        assert d1 is not d2
+        assert d1 == d2 and hash(d1) == hash(d2)
+        assert len({d1, d2}) == 1
+        other = Derivation(d1.rule, d1.conclusion,
+                           (Derivation("Ax", d1.premises[0].conclusion),))
+        assert d1 != other and other != d1
+        assert d1.__eq__(d1.conclusion) is NotImplemented
+
+        # two 3,000-node chains that differ only at the leaf
+        def chain(leaf_rule):
+            d = Derivation(leaf_rule, Sequent((P,), P))
+            for _ in range(3000):
+                d = Derivation("Ax", Sequent((P,), P), (d,))
+            return d
+        assert chain("Ax") == chain("Ax")
+        assert chain("Ax") != chain("1-Ax")
 
 
 class TestCheckInstances:

@@ -28,11 +28,13 @@ fresh checkouts without bytecode caches.  Then, in each checkout:
   (unique types of 1,879 and 3,379 nodes), 3 alternating pairs, each run
   in a fresh process, with each side's median seconds and peak RSS;
 * ``parse_formula`` of the 6,000-deep ``p\\p\\...\\p``, then
-  ``render_formula`` and ``fg_interp`` of the parsed chain, 3 alternating
-  pairs, each run in a fresh process, recording each one's seconds or,
-  when it raises, the exception's class name (a recursive parser or
-  renderer gives ``RecursionError``), the peak RSS after the render and
-  the peak RSS after the image, with each side's medians (a node that
+  ``render_formula``, ``fg_interp`` and ``hash(derive_identity(f))`` of
+  the parsed chain, then ``instance_soundness(Star(p), (p,) * 6000)``,
+  3 alternating pairs, each run in a fresh process, recording each one's
+  seconds or, when it raises, the exception's class name (a recursive
+  parser, renderer, derivation hash or star block split gives
+  ``RecursionError``), and the peak RSS after the render, the image, the
+  hash and the star instance, with each side's medians (a node that
   keeps its free-group image makes the parse or the image quadratic:
   about 0.4 to 0.8 s and 155 MB at this depth);
 * small calls, 3 alternating pairs, each run in a fresh process, with
@@ -144,7 +146,8 @@ print(json.dumps({
 
 DEEP_PARSE = """
 import json, time
-from lambekstar import fg_interp, parse_formula, render_formula
+from lambekstar import (Atom, Star, derive_identity, fg_interp,
+                        instance_soundness, parse_formula, render_formula)
 text = "p\\\\" * 6000 + "p"
 t0 = time.perf_counter()
 try:
@@ -168,6 +171,21 @@ if f is not None:
     except Exception as e:
         out["fg_exception"] = type(e).__name__
     out["fg_peak_rss_mb"] = round(status_mb("VmHWM"), 1)
+    t0 = time.perf_counter()
+    try:
+        hash(derive_identity(f))
+        out["identity_hash_seconds"] = round(time.perf_counter() - t0, 3)
+    except Exception as e:
+        out["identity_hash_exception"] = type(e).__name__
+    out["identity_hash_peak_rss_mb"] = round(status_mb("VmHWM"), 1)
+p = Atom("p")
+t0 = time.perf_counter()
+try:
+    instance_soundness(Star(p), (p,) * 6000)
+    out["star_seconds"] = round(time.perf_counter() - t0, 3)
+except Exception as e:
+    out["star_exception"] = type(e).__name__
+out["star_peak_rss_mb"] = round(status_mb("VmHWM"), 1)
 print(json.dumps(out))
 """
 
@@ -391,11 +409,14 @@ def main() -> int:
                     "alternating pairs, parent first in odd pairs",
             "runs": [], "medians": {}},
         "deep_parse": {
-            "what": "parse_formula, then render_formula and fg_interp, of "
-                    "the 6,000-deep p\\p\\...\\p in a fresh process: "
-                    "seconds, or the exception's class name, and peak RSS "
-                    "(VmHWM) after the render (peak_rss_mb) and after the "
-                    "image (fg_peak_rss_mb); "
+            "what": "parse_formula, then render_formula, fg_interp and "
+                    "the hash of derive_identity, of the 6,000-deep "
+                    "p\\p\\...\\p, then instance_soundness(p^*, p x 6,000), "
+                    "in a fresh process: seconds, or the exception's class "
+                    "name, and peak RSS (VmHWM) after the render "
+                    "(peak_rss_mb), the image (fg_peak_rss_mb), the hash "
+                    "(identity_hash_peak_rss_mb) and the star instance "
+                    "(star_peak_rss_mb); "
                     f"{ONE_OFF_PAIRS} alternating pairs, parent first in odd "
                     "pairs",
             "runs": [], "medians": {}},
@@ -481,7 +502,9 @@ def main() -> int:
                     ("seconds", "peak_rss_mb"))
         alternating("deep_parse", DEEP_PARSE, ONE_OFF_PAIRS,
                     ("seconds", "render_seconds", "peak_rss_mb",
-                     "fg_seconds", "fg_peak_rss_mb"))
+                     "fg_seconds", "fg_peak_rss_mb", "identity_hash_seconds",
+                     "identity_hash_peak_rss_mb", "star_seconds",
+                     "star_peak_rss_mb"))
         alternating("small_calls", SMALL_CALLS, ONE_OFF_PAIRS,
                     ("prove_us", "instance_soundness_us",
                      "sequents_per_pass", "derivations_per_pass"))
