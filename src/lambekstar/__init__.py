@@ -32,7 +32,7 @@ from .joins import (
     join, product_fold, eliminate_product, optionalize,
 )
 from .compiler import (
-    CompilerContext, CompiledGrammar, LambekGrammar, UnusedTerminalError,
+    CompiledGrammar, LambekGrammar, UnusedTerminalError,
     compile_unique, compile_gaifman, accepts,
 )
 from .stars import (

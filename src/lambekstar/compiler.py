@@ -13,7 +13,12 @@ Two constructions:
   the display sequence E) to pin where a slot may be consumed.  The
   terminal's type is the gate ``K_j = (z/z)/is(U_j)`` and the goal is the
   start symbol's gate ``H_0``, so a word is accepted iff
-  ``K_{w_1}, …, K_{w_n} -> H_0`` is derivable.
+  ``K_{w_1}, …, K_{w_n} -> H_0`` is derivable.  The atoms are fixed
+  names: ``x``, ``z``, ``u`` and ``s`` (``_X``, ``_Z``, ``_U``, ``_S``),
+  ``t, v, w`` for the sentinel shared by every display sequence
+  (``_SHARED``), ``p{i}, q{i}, r{i}`` for the sentinel of the ``i``-th
+  nonterminal, and ``d``, ``d#1``, ``d#2``, … for the join cores, two per
+  terminal in terminal order.
 
 * :func:`compile_gaifman` — the classical baseline: atoms ``N̂`` per
   nonterminal, one type per *rule* (``N̂_i``, ``N̂_i/N̂_k`` or
@@ -38,7 +43,7 @@ from .joins import JoinCertificate, JoinProblem, join
 from .prover import DEFAULT_BUDGET, ProverSession, _session_for, prove
 
 __all__ = [
-    "CompilerContext", "CompiledGrammar", "LambekGrammar", "IsParts",
+    "CompiledGrammar", "LambekGrammar", "IsParts",
     "UnusedTerminalError", "compile_unique", "compile_gaifman",
     "accepts",
 ]
@@ -48,42 +53,9 @@ class UnusedTerminalError(GrammarError):
     """A declared terminal survives in no rule, so it can get no sound type."""
 
 
-class CompilerContext:
-    """Fresh-variable pool for one compilation run.
-
-    Allocates the shared atoms ``x z u t v w s`` up front and the indexed
-    sentinel parameter families ``p_i, q_i, r_i`` on demand; every name is
-    distinct.  ``t, v, w`` parameterise the one shared sentinel used by the
-    ``is(·)`` display sequences.
-    """
-
-    def __init__(self):
-        self.supply = VarSupply()
-        self.x = self.supply.fresh("x")
-        self.z = self.supply.fresh("z")
-        self.u = self.supply.fresh("u")
-        self.t = self.supply.fresh("t")
-        self.v = self.supply.fresh("v")
-        self.w = self.supply.fresh("w")
-        self.s = self.supply.fresh("s")
-        self._params: dict[int, tuple[str, str, str]] = {}
-
-    def sentinel_params(self, i: int) -> tuple[str, str, str]:
-        if i not in self._params:
-            self._params[i] = (self.supply.fresh(f"p{i}"),
-                               self.supply.fresh(f"q{i}"),
-                               self.supply.fresh(f"r{i}"))
-        return self._params[i]
-
-    def indexed_sentinel(self, i: int) -> Formula:
-        return sentinel(*self.sentinel_params(i))
-
-    @property
-    def shared_sentinel(self) -> Formula:
-        return sentinel(self.t, self.v, self.w)
-
-    def fresh(self, base: str) -> str:
-        return self.supply.fresh(base)
+# the fixed atoms of every unique-type lexicon (see the module docstring)
+_X, _Z, _U, _S = Atom("x"), Atom("z"), Atom("u"), Atom("s")
+_SHARED = sentinel("t", "v", "w")
 
 
 class IsParts(_Record):
@@ -115,10 +87,9 @@ class IsParts(_Record):
 
 class CompiledGrammar(_Record):
     """Unique-type lexicon: exactly one formula per terminal; a plain slot
-    record, immutable by contract.  Its ``repr`` leaves out ``context``."""
+    record, immutable by contract."""
 
-    __slots__ = ("lexicon", "goal", "h", "u_sets", "parts", "sentinels",
-                 "context")
+    __slots__ = ("lexicon", "goal", "h", "u_sets", "parts", "sentinels")
 
     lexicon: Mapping[str, Formula]
     goal: Formula
@@ -126,24 +97,18 @@ class CompiledGrammar(_Record):
     u_sets: Mapping[str, tuple[Formula, ...]]
     parts: Mapping[str, IsParts]
     sentinels: Mapping[str, Formula]
-    context: CompilerContext
 
     def __init__(self, lexicon: Mapping[str, Formula], goal: Formula,
                  h: Mapping[str, Formula],
                  u_sets: Mapping[str, tuple[Formula, ...]],
                  parts: Mapping[str, IsParts],
-                 sentinels: Mapping[str, Formula],
-                 context: CompilerContext):
+                 sentinels: Mapping[str, Formula]):
         self.lexicon = lexicon
         self.goal = goal
         self.h = h
         self.u_sets = u_sets
         self.parts = parts
         self.sentinels = sentinels
-        self.context = context
-
-    def __repr__(self) -> str:
-        return self._repr(self.__slots__[:-1])
 
 
 class LambekGrammar(_Record):
@@ -161,7 +126,7 @@ class LambekGrammar(_Record):
         self.goal = goal
 
 
-def _build_is_parts(u_set: Sequence[Formula], ctx: CompilerContext,
+def _build_is_parts(u_set: Sequence[Formula], cores: VarSupply,
                     *, budget: int = DEFAULT_BUDGET,
                     session: ProverSession | None = None) -> IsParts:
     members = tuple(u_set)
@@ -170,23 +135,20 @@ def _build_is_parts(u_set: Sequence[Formula], ctx: CompilerContext,
     for m in members:
         if not zero_balanced(m):
             raise ValueError(f"is(U) member {m} is not zero-balanced")
-    shared = ctx.shared_sentinel
-    e: list[Formula] = [shared]
+    e: list[Formula] = [_SHARED]
     for m in members:
-        e += [m, shared]
+        e += [m, _SHARED]
     n = len(members)
     suffixes = tuple(tuple(e[2 * i:]) for i in range(n))
     prefixes = tuple(tuple(e[:2 * i + 3]) for i in range(n))
-    f_cert = join(JoinProblem(suffixes, (ctx.fresh("d"),)), budget=budget,
+    f_cert = join(JoinProblem(suffixes, (cores.fresh("d"),)), budget=budget,
                   session=session)
-    g_cert = join(JoinProblem(prefixes, (ctx.fresh("d"),)), budget=budget,
+    g_cert = join(JoinProblem(prefixes, (cores.fresh("d"),)), budget=budget,
                   session=session)
-    u = Atom(ctx.u)
-    s = Atom(ctx.s)
-    b = tuple(e) + (Under(Under(Over(u, f_cert.join), u), shared),)
-    c = (Over(shared, Over(u, Under(g_cert.join, u))),) + tuple(e)
-    s_over_e = curried_division([], s, e)
-    formula = curried_division([s_over_e, *b], s, c)
+    b = tuple(e) + (Under(Under(Over(_U, f_cert.join), _U), _SHARED),)
+    c = (Over(_SHARED, Over(_U, Under(g_cert.join, _U))),) + tuple(e)
+    s_over_e = curried_division([], _S, e)
+    formula = curried_division([s_over_e, *b], _S, c)
     return IsParts(members, formula, tuple(e), b, c, f_cert, g_cert)
 
 
@@ -209,26 +171,25 @@ def compile_unique(g: GnfCfg, *, budget: int = DEFAULT_BUDGET,
     if unused:
         raise UnusedTerminalError(
             f"terminals with no surviving rule: {', '.join(unused)}")
-    ctx = CompilerContext()
     nts = g.nonterminals
-    sentinels = {nt: ctx.indexed_sentinel(i) for i, nt in enumerate(nts)}
-    z = Atom(ctx.z)
-    x = Atom(ctx.x)
-    h = {nt: curried_division([], z, [sentinels[nt], z]) for nt in nts}
+    sentinels = {nt: sentinel(f"p{i}", f"q{i}", f"r{i}")
+                 for i, nt in enumerate(nts)}
+    h = {nt: curried_division([], _Z, [sentinels[nt], _Z]) for nt in nts}
     u_sets: dict[str, list[Formula]] = {t: [] for t in g.terminals}
     for lhs, a, k, l in g.rules:
         ws = [h[sym] for sym in (k, l) if sym is not None]
         ws.append(sentinels[lhs])
-        u_sets[a].append(Over(x, curried_division(ws, x, [])))
-    parts = {a: _build_is_parts(u_sets[a], ctx, budget=budget,
+        u_sets[a].append(Over(_X, curried_division(ws, _X, [])))
+    cores = VarSupply()
+    parts = {a: _build_is_parts(u_sets[a], cores, budget=budget,
                                 session=session)
              for a in g.terminals}
-    lexicon = {a: curried_division([], z, [parts[a].formula, z])
+    lexicon = {a: curried_division([], _Z, [parts[a].formula, _Z])
                for a in g.terminals}
     return CompiledGrammar(
         lexicon=lexicon, goal=h[g.start], h=h,
         u_sets={a: tuple(v) for a, v in u_sets.items()},
-        parts=parts, sentinels=sentinels, context=ctx)
+        parts=parts, sentinels=sentinels)
 
 
 def compile_gaifman(g: GnfCfg) -> LambekGrammar:

@@ -15,9 +15,10 @@ either engine runs, and both provers refute through the values alone.
 Free-group images are not stored: :func:`fg_interp`,
 :func:`sequence_image` and :func:`zero_balanced` compute one by a single
 linear walk over the atom occurrences, for the join precondition, the
-compiler's zero-balance check and the certificate audit.  ``top`` and
-``tv`` are ``None``, and images are refused, outside the fragments where
-they make sense.
+compiler's zero-balance check and the certificate audit.  Every formula
+has a value (``|`` and ``&`` are union and intersection, ``^*`` is
+reflexive-transitive closure), while ``top`` is ``None``, and images are
+refused, outside the fragments where they make sense.
 
 Concrete syntax, loosest to tightest::
 
@@ -115,13 +116,14 @@ def _ginv(a: tuple) -> tuple:
 # relational values: a formula's values under 64 fixed valuations in the
 # binary relations on the two-point set {0, 1}.  Relations under
 # composition, with the identity as unit and the two residuals as
-# divisions, form a residuated monoid, so a sequent derivable in L* (and
-# so in L) holds under every valuation: Γ -> C needs
-# _truth(Γ) & ~C.tv == 0.  A value packs four 64-bit lanes into one int,
-# one lane per entry (0,0), (0,1), (1,0), (1,1), lowest first; bit k of
-# each lane belongs to valuation k.  The relations on one point are the
-# two Boolean truth values, so a Boolean truth table is the one-point
-# case; two points let a valuation see order.
+# divisions, form a residuated monoid, and union, intersection and
+# reflexive-transitive closure validate the rules of |, & and positive ^*,
+# so a sequent derivable in L* (and so in L) holds under every valuation:
+# Γ -> C needs _truth(Γ) & ~C.tv == 0.  A value packs four 64-bit lanes
+# into one int, one lane per entry (0,0), (0,1), (1,0), (1,1), lowest
+# first; bit k of each lane belongs to valuation k.  The relations on one
+# point are the two Boolean truth values, so a Boolean truth table is the
+# one-point case; two points let a valuation see order.
 
 _ALL = (1 << 64) - 1                   # one lane, and entry (0,0)
 _L01 = _ALL << 64
@@ -226,11 +228,7 @@ class GroupWord:
 # compiled unique type measured (6,475 nodes)
 _REPR_MAX_SIZE = 100_000
 
-# ``Formula.rv`` of a node walked for values that has none: it uses a
-# connective outside ·,\,/,1, or has such a node below it
-_NO_VALUE = object()
-
-# the kinds of the ·,\,/,1 fragment, whose formulas have values and images
+# the kinds of the ·,\,/,1 fragment, whose formulas have free-group images
 _FG_KINDS = 1 << ATOM | 1 << UNIT | 1 << UNDER | 1 << OVER | 1 << PROD
 
 
@@ -249,11 +247,10 @@ class Formula:
                               # atom's own name
     nl: int                   # \ denominators on the spine to top (else 0)
     nr: int                   # / denominators on the spine to top (else 0)
-    rv: object                # relational value: four 64-bit lanes, one per
+    rv: int | None            # relational value: four 64-bit lanes, one per
                               # entry (0,0), (0,1), (1,0), (1,1) of a relation
                               # on {0, 1}, bit k of each under valuation k;
-                              # None until first needed, _NO_VALUE outside
-                              # ·,\,/,1
+                              # None until first needed
 
     @property
     def name(self) -> str | None:
@@ -261,13 +258,10 @@ class Formula:
         return self.top if self.kind == ATOM else None
 
     @property
-    def tv(self) -> int | None:
-        """The relational value (``rv``), computed on first read; None
-        outside ·,\\,/,1."""
+    def tv(self) -> int:
+        """The relational value (``rv``), computed on first read."""
         v = self.rv
-        if v is None:
-            v = _values(self)
-        return None if v is _NO_VALUE else v
+        return _values(self) if v is None else v
 
     def __repr__(self) -> str:
         text = _brief(self)
@@ -288,11 +282,14 @@ def _brief(f: Formula) -> str:
     return render_formula(f)
 
 
-def _values(f: Formula) -> object:
+def _values(f: Formula) -> int:
     """Fill the relational value of ``f`` and of every node below it that
     has none yet, children first from an explicit stack, and return the
-    value of ``f`` (``_NO_VALUE`` outside ·,\\,/,1).  A node with a value
-    has values all the way down, so the walk stops at one."""
+    value of ``f``.  A node with a value has values all the way down, so
+    the walk stops at one.  ``|`` and ``&`` are union and intersection,
+    ``A^*`` the reflexive-transitive closure and ``A^+`` the transitive
+    one: on two points a path needs at most two steps, so they are
+    ``I ∪ A`` and ``A ∪ A;A``."""
     todo = [f]
     while todo:
         g = todo[-1]
@@ -306,16 +303,23 @@ def _values(f: Formula) -> object:
             continue
         todo.pop()
         k = g.kind
-        if g.kinds & ~_FG_KINDS:
-            g.rv = _NO_VALUE
-        elif k == UNDER:
+        if k == UNDER:
             # left\right is the complement of left˘;¬right
             g.rv = _comp(_conv(left.rv), right.rv ^ _FULL) ^ _FULL
         elif k == OVER:
             # left/right is the complement of ¬left;right˘
             g.rv = _comp(left.rv ^ _FULL, _conv(right.rv)) ^ _FULL
-        else:
+        elif k == PROD:
             g.rv = _comp(left.rv, right.rv)
+        elif k == OR:
+            g.rv = left.rv | right.rv
+        elif k == AND:
+            g.rv = left.rv & right.rv
+        elif k == STAR:
+            g.rv = _ID | left.rv
+        else:                                  # PLUS
+            v = left.rv
+            g.rv = v | _comp(v, v)
     return f.rv
 
 
@@ -439,7 +443,7 @@ class _Record:
     """Value semantics for a plain slot record: ``==`` and ``hash`` over
     its fields in slot order, ``NotImplemented`` against any other class,
     and a dataclass-style ``repr``.  A mutable record sets ``__hash__`` to
-    None; a record can show fewer fields through ``_repr``."""
+    None."""
 
     __slots__ = ()
 
@@ -455,11 +459,8 @@ class _Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        return self._repr(self.__slots__)
-
-    def _repr(self, names: tuple) -> str:
         return self.__class__.__name__ + "(" + ", ".join(
-            [f"{name}={getattr(self, name)!r}" for name in names]) + ")"
+            [f"{n}={getattr(self, n)!r}" for n in self.__slots__]) + ")"
 
 
 class Sequent(_Record):

@@ -16,7 +16,7 @@ restriction, the unit or any iteration raise :class:`FragmentError` — the
 ``naive_prove`` is an intentionally simple independent oracle: it tries
 every rule at every position with no inversion phases, no head-atom
 focusing and no relational pruning, and shares nothing with the engines
-beyond the formula terms themselves.
+beyond the formula terms and the entry normalisation (``_prepare``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .checker import assert_valid_derivation, check_derivation
 from .formula import (
     ATOM, UNIT, UNDER, OVER, PROD, STAR, PLUS, OR, AND,
     BudgetError, CertificateError, Derivation, Formula, FragmentError,
-    Prod, Sequent, Star, _NO_VALUE, _Record, _brief, _rebuild, _truth,
+    Prod, Sequent, Star, _Record, _brief, _rebuild, _truth,
     _values, fg_interp, render_sequent, sequence_image,
 )
 
@@ -290,10 +290,8 @@ def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
             return None if p2 is None \
                 else Derivation("|->", Sequent(ant, succ), (p1, p2))
 
-    # the relational test of the kernel, where every formula has a value
-    if succ.rv is not _NO_VALUE \
-            and all(f.rv is not _NO_VALUE for f in ant) \
-            and _truth(ant) & ~succ.rv:
+    # the relational test of the kernel
+    if _truth(ant) & ~succ.rv:
         return None
 
     # axioms

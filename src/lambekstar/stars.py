@@ -311,27 +311,29 @@ def _star_cert(f: Formula, seq: tuple[Formula, ...],
     body = f.left
     n = len(seq)
     # Partition seq into non-empty blocks, each an instance of the body,
-    # taking the shortest first block whose rest also splits.  One pass
-    # from the right stores, for each start i, where that block ends and
-    # its certificate (end[i] is None when seq[i:] does not split); the
-    # blocks are then read off from the front.
-    end: list[int | None] = [None] * n + [n]
-    head: list[Derivation | None] = [None] * n
-    for i in range(n - 1, -1, -1):
-        for j in range(i + 1, n + 1):
-            if end[j] is None:
-                continue
+    # taking the shortest first block whose rest also splits.  A search
+    # from the front tries seq[i:j] for j ascending, skipping the starts
+    # in dead, whose rest does not split; when no j is left it marks i
+    # dead and backs up one block.
+    dead: set[int] = set()
+    starts: list[int] = []
+    parts: list[Derivation] = []
+    i, j = 0, 1
+    while i < n:
+        if j > n:
+            if not starts:
+                return None
+            dead.add(i)
+            parts.pop()
+            i, j = starts.pop(), i + 1
+            continue
+        if j not in dead:
             cert = _membership_cert(body, seq[i:j], memo)
             if cert is not None:
-                end[i], head[i] = j, cert
-                break
-    if end[0] is None:
-        return None
-    parts = []
-    i = 0
-    while i < n:
-        parts.append(head[i])
-        i = end[i]
+                starts.append(i)
+                parts.append(cert)
+                i = j
+        j += 1
     return Derivation(f"->*_{len(parts)}", Sequent(seq, f), tuple(parts))
 
 

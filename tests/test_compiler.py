@@ -7,7 +7,6 @@ import pytest
 
 from lambekstar import (
     Atom,
-    CompilerContext,
     CompiledGrammar,
     GrammarError,
     LambekGrammar,
@@ -16,6 +15,7 @@ from lambekstar import (
     ProverSession,
     Sequent,
     UnusedTerminalError,
+    VarSupply,
     accepts,
     compile_gaifman,
     compile_unique,
@@ -49,32 +49,10 @@ def g3_gnf():
     return to_gnf2(parse_cfg("S -> a S B\nS -> a B\nB -> b"))
 
 
-class TestContext:
-    def test_reserved_atoms_are_distinct(self):
-        ctx = CompilerContext()
-        names = {ctx.x, ctx.z, ctx.u, ctx.t, ctx.v, ctx.w, ctx.s}
-        assert len(names) == 7
-
-    def test_sentinel_params_are_cached_and_fresh(self):
-        ctx = CompilerContext()
-        p0 = ctx.sentinel_params(0)
-        assert ctx.sentinel_params(0) is p0
-        p1 = ctx.sentinel_params(1)
-        assert set(p0).isdisjoint(p1)
-
-    def test_indexed_sentinel_matches_its_params(self):
-        ctx = CompilerContext()
-        assert ctx.indexed_sentinel(2) == sentinel(*ctx.sentinel_params(2))
-
-    def test_shared_sentinel_uses_the_reserved_triple(self):
-        ctx = CompilerContext()
-        assert ctx.shared_sentinel == sentinel(ctx.t, ctx.v, ctx.w)
-
-
 class TestIsConstruction:
     def test_single_member_display_row(self, g1):
         parts = g1.parts["a"]
-        shared = g1.context.shared_sentinel
+        shared = sentinel("t", "v", "w")
         assert len(parts.members) == 1
         a = parts.members[0]
         assert parts.e == (shared, a, shared)
@@ -87,12 +65,12 @@ class TestIsConstruction:
         assert len(parts.e) == 2 * len(parts.members) + 1
 
     def test_heads_of_the_generated_formulas(self, g1):
-        ctx = g1.context
-        assert g1.lexicon["a"].top == ctx.z
-        assert g1.h["N0"].top == ctx.z
-        assert g1.parts["a"].members[0].top == ctx.x
-        assert g1.sentinels["N0"].top == ctx.sentinel_params(0)[2]
-        assert g1.parts["a"].formula.top == ctx.s
+        assert g1.lexicon["a"].top == "z"
+        assert g1.h["N0"].top == "z"
+        assert g1.parts["a"].members[0].top == "x"
+        assert g1.sentinels["N0"] == sentinel("p0", "q0", "r0")
+        assert g1.sentinels["N0"].top == "r0"
+        assert g1.parts["a"].formula.top == "s"
 
     def test_everything_in_the_lexicon_is_zero_balanced(self, g2):
         for f in g2.lexicon.values():
@@ -132,8 +110,7 @@ class TestIsConstruction:
     def test_is_suffix_rows_never_reach_the_core(self, g1):
         # chopping the front off the B display row must kill derivability,
         # no matter how many lexicon types are glued on the left
-        ctx = g1.context
-        s = Atom(ctx.s)
+        s = Atom("s")
         k = g1.lexicon["a"]
         session = ProverSession()
         for m in range(3):
@@ -142,11 +119,10 @@ class TestIsConstruction:
                 assert not prove(Sequent(row, s), session=session).proved
 
     def test_family_preconditions(self):
-        ctx = CompilerContext()
         with pytest.raises(ValueError):
-            _build_is_parts([], ctx)
+            _build_is_parts([], VarSupply())
         with pytest.raises(ValueError):
-            _build_is_parts([Atom("p")], ctx)
+            _build_is_parts([Atom("p")], VarSupply())
 
 
 class TestCompileUnique:
@@ -186,7 +162,7 @@ class TestCompileUnique:
         # a session that has already answered product queries (general
         # engine) and division queries (kernel) over the compiler's atoms
         sess = ProverSession()
-        sh = CompilerContext().shared_sentinel
+        sh = sentinel("t", "v", "w")
         assert prove(Sequent((Prod(sh, sh),), Prod(sh, sh)),
                      session=sess).proved
         assert prove(Sequent((sh,), sh), session=sess).proved

@@ -21,8 +21,7 @@ from lambekstar import (And, Atom, Derivation, FragmentError, GroupWord,
                         zero_balanced)
 from lambekstar import formula, prover
 from lambekstar.formula import (AND, ATOM, OR, OVER, PLUS, PROD, STAR, UNDER,
-                                UNIT, _NO_VALUE, _REPR_MAX_SIZE, _comp,
-                                _truth)
+                                UNIT, _REPR_MAX_SIZE, _comp, _truth)
 
 from helpers import random_division_pure
 
@@ -433,8 +432,7 @@ class TestStructureOnlyNodes:
             prove(s)
             for n in nodes_of(*s.antecedent, s.succedent):
                 assert n.rv is not None
-                assert (n.rv is _NO_VALUE) == (n.kinds & 1 << STAR != 0)
-        # a second call walks nothing: every node is filled or marked
+        # a second call walks nothing: every node is filled
         walked = []
         monkeypatch.setattr(prover, "_values", walked.append)
         assert prove(s).proved and walked == []
@@ -531,9 +529,33 @@ class TestTruthMask:
         assert not _truth(parse_sequent("p, p\\p -> p").antecedent) \
             & ~p.tv
 
-    def test_none_outside_the_image_fragment(self):
-        for f in (Or(p, q), And(p, q), Star(p), Plus(p), Under(p, Star(q))):
-            assert f.tv is None
+    def test_additives_and_iterations_follow_their_definitions(self, rng):
+        # | is union and & intersection; ^* is the reflexive-transitive
+        # closure and ^+ the transitive one, which on two points are
+        # I ∪ R and R ∪ R;R
+        ident = {(0, 0), (1, 1)}
+
+        def closure(rel, start):
+            out = set(start)
+            while True:
+                more = out | {(i, j) for i, m in out for n, j in rel
+                              if m == n}
+                if more == out:
+                    return out
+                out = more
+
+        for _ in range(20):
+            a = random_division_pure(rng, rng.randint(1, 7))
+            b = random_division_pure(rng, rng.randint(1, 7))
+            for k in rng.sample(range(64), 8):
+                ra, rb = relation(a.tv, k), relation(b.tv, k)
+                ra2 = relation(_comp(a.tv, a.tv), k)
+                assert relation(Or(a, b).tv, k) == ra | rb
+                assert relation(And(a, b).tv, k) == ra & rb
+                assert relation(Star(a).tv, k) == ident | ra \
+                    == closure(ra, ident | ra)
+                assert relation(Plus(a).tv, k) == ra | ra2 \
+                    == closure(ra, ra)
 
     def test_atom_pattern_is_fixed_by_name(self):
         # another interpreter, with another string-hash seed, gives every

@@ -17,7 +17,7 @@ from lambekstar import (And, Atom, BudgetError, CertificateError,
                         render_derivation, render_sequent, sequence_image,
                         sentinel)
 from lambekstar.checker import assert_valid_derivation
-from lambekstar.formula import Derivation, _truth
+from lambekstar.formula import AND, OR, PLUS, STAR, Derivation, _truth
 from lambekstar.prover import _kinds, _prepare
 
 from helpers import (random_division_pure, random_division_sequent,
@@ -271,6 +271,20 @@ class TestEngines:
         assert decided > 4000
         # the sample proves through every rule of the vocabulary
         assert KNOWN_RULES - rules <= {f"->*_{k}" for k in range(4, 64)}
+
+    def test_values_hold_on_every_full_vocabulary_theorem(self, rng):
+        # union, intersection and reflexive-transitive closure validate
+        # the rules of |, & and positive ^*, so no sequent the oracle
+        # proves fails the relational test of the general engine
+        OR_AND_ITER = 1 << OR | 1 << AND | 1 << STAR | 1 << PLUS
+        rich = 0
+        for _ in range(1500):
+            s = random_full_sequent(rng, 9, atoms=("p", "q"))
+            if naive_prove(s):
+                assert _truth(s.antecedent) & ~s.succedent.tv == 0, \
+                    render_sequent(s)
+                rich += bool(_kinds(s) & OR_AND_ITER)
+        assert rich > 100
 
     def test_restriction_never_proves_more(self, rng):
         for _ in range(60):

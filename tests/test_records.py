@@ -106,14 +106,13 @@ class TestCompiled:
         fields = [getattr(compiled, n) for n in CompiledGrammar.__slots__]
         copy = CompiledGrammar(*fields)
         assert copy == compiled and copy is not compiled
-        assert copy != CompiledGrammar(*fields[:-1], context=None)
+        assert copy != CompiledGrammar(*fields[:-1], {})
         assert compiled.__eq__(object()) is NotImplemented
         with pytest.raises(TypeError):        # its fields are dicts
             hash(compiled)
         text = repr(compiled)
         assert text.startswith("CompiledGrammar(lexicon={'a': <")
         assert ", sentinels={" in text and text.endswith(")")
-        assert "context" not in text and "CompilerContext" not in text
 
     def test_is_parts_and_certificates(self, compiled):
         parts = next(iter(compiled.parts.values()))

@@ -32,6 +32,7 @@ from lambekstar import (
     render_derivation,
     render_sequent,
 )
+from lambekstar import stars
 from lambekstar.checker import check_derivation
 from lambekstar.stars import InstanceMembershipError
 
@@ -282,6 +283,27 @@ class TestInstanceSoundness:
         # 3,000 blocks, far above the default recursion limit
         cert = instance_soundness(Star(P), (P,) * 3000)
         assert cert.rule == "->*_3000"
+        assert check_derivation(cert)
+
+    def test_star_split_tries_only_starts_the_front_reaches(self,
+                                                            monkeypatch):
+        # (p, q) * 200: a q never starts a block, so a split from the
+        # front tries none from a q, and each block costs two calls
+        calls = [0]
+        inner = stars._membership_cert
+
+        def counted(*args):
+            calls[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(stars, "_membership_cert", counted)
+        cert = instance_soundness(Star(Prod(P, Q)), (P, Q) * 200)
+        assert cert.rule == "->*_200"
+        assert calls[0] <= 3 * 200
+        # p.q^* takes p alone first, then p, q; neither rest splits, so
+        # the search backs up to the one block p, q, q
+        cert = instance_soundness(Star(Prod(P, Star(Q))), (P, Q, Q))
+        assert cert.rule == "->*_1"
         assert check_derivation(cert)
 
     def test_deep_derivations_hash_and_compare(self):

@@ -44,7 +44,11 @@ fresh checkouts without bytecode caches.  Then, in each checkout:
   ``Sequent`` and ``Derivation`` objects that one pass over the seed-1
   stream of the ``small-sequents`` workload builds (each item parsed,
   then proved or certified as the workload does), counted by wrapping the
-  two classes' ``__init__`` in that process only;
+  two classes' ``__init__`` in that process only; in the same pass, the
+  ``stars._membership_cert`` calls (wrapped the same way) and the
+  ``steps_used`` of the focused kernel and of the general engine, each
+  item proved in a fresh session and charged to the kernel when every
+  formula is division-pure;
 * ``equivalence_harness(g, "safiullin", 3)`` on the grammar
   ``random_epsfree_grammar(random.Random(14), max_nonterminals=3,
   max_rules=5)`` of ``tests/helpers.py``, 3 alternating pairs, each run
@@ -193,8 +197,8 @@ SMALL_CALLS = """
 import json, sys, timeit
 sys.path.insert(0, "perfbench")
 from inputs import STREAM_ITEMS, sequent_stream
-from lambekstar import (Derivation, Sequent, instance_soundness,
-                        parse_sequent, prove)
+from lambekstar import (Derivation, ProverSession, Sequent, division_pure,
+                        instance_soundness, parse_sequent, prove, stars)
 
 def best_us(call):
     return round(min(timeit.repeat(call, number=2000, repeat=7)) / 2000
@@ -212,14 +216,26 @@ for cls in built:
         built[_cls] += 1
         _init(self, *args, **kwargs)
     cls.__init__ = counted
+calls = [0]
+def membership(*args, _inner=stars._membership_cert):
+    calls[0] += 1
+    return _inner(*args)
+stars._membership_cert = membership
+steps = {"kernel": 0, "general": 0}
 for kind, text in items:
     seq = parse_sequent(text)
     if kind == "certify":
         instance_soundness(seq.succedent, seq.antecedent)
     else:
-        prove(seq)
+        session = ProverSession()
+        prove(seq, session=session)
+        pure = all(map(division_pure, (*seq.antecedent, seq.succedent)))
+        steps["kernel" if pure else "general"] += session.steps_used
 out.update(sequents_per_pass=built[Sequent],
-           derivations_per_pass=built[Derivation])
+           derivations_per_pass=built[Derivation],
+           membership_calls_per_pass=calls[0],
+           kernel_steps_per_pass=steps["kernel"],
+           general_steps_per_pass=steps["general"])
 print(json.dumps(out))
 """
 
@@ -423,8 +439,9 @@ def main() -> int:
         "small_calls": {
             "what": "best-of-7 per-call us of prove(p, p\\q -> q) and of "
                     "instance_soundness(p, q, q -> p.q^*), and the Sequent "
-                    "and Derivation objects one seed-1 small-sequents "
-                    "stream pass builds, in a fresh process; "
+                    "and Derivation objects, membership calls and kernel "
+                    "and general-engine steps of one seed-1 small-sequents "
+                    "stream pass, in a fresh process; "
                     f"{ONE_OFF_PAIRS} alternating pairs, parent first in "
                     "odd pairs",
             "runs": [], "medians": {}},
@@ -507,7 +524,9 @@ def main() -> int:
                      "star_peak_rss_mb"))
         alternating("small_calls", SMALL_CALLS, ONE_OFF_PAIRS,
                     ("prove_us", "instance_soundness_us",
-                     "sequents_per_pass", "derivations_per_pass"))
+                     "sequents_per_pass", "derivations_per_pass",
+                     "membership_calls_per_pass", "kernel_steps_per_pass",
+                     "general_steps_per_pass"))
         alternating("equivalence_harness_large_grammar", EQUIVALENCE,
                     ONE_OFF_PAIRS, ("seconds", "peak_rss_mb"))
         for side in SIDES:
