@@ -14,7 +14,10 @@ Strategy, backward from the goal:
      sequent derivable in L*, and so in L, holds under every valuation.
      (L is complete for relational models over all sets, Andréka and
      Mikulás 1994; 64 valuations on two points are a sound sample of
-     them, not a decision procedure.)  The test refutes sequents whose
+     them, not a decision procedure.  The compiler's atoms take 64
+     valuations chosen to refute many states, ``formula._CHOSEN_TV``,
+     generated by ``tools/choose_valuations.py``; every other atom takes
+     a fixed pseudo-random draw.)  The test refutes sequents whose
      free-group images agree and which hold classically, such as
      ``p\\p, p -> p``.  Equal images are necessary too, but not tested:
      on compiled lexicons the image test cuts nothing this one does not.

@@ -10,8 +10,11 @@ that atom (``nl``, ``nr``).  Its values under 64 fixed valuations in the
 binary relations on a two-point set (``tv``) are computed the first time
 something needs them, by one children-first walk from an explicit stack
 that stores them in every node below that lacks them; atoms and ``1``
-have theirs from birth.  ``prove`` fills the values of its sequent before
-either engine runs, and both provers refute through the values alone.
+have theirs from birth.  The compiler's atoms take 64 valuations chosen
+to refute many kernel states (the generated table ``_CHOSEN_TV``); every
+other atom takes a fixed pseudo-random draw keyed by its name.
+``prove`` fills the values of its sequent before either engine runs, and
+both provers refute through the values alone.
 Free-group images are not stored: :func:`fg_interp`,
 :func:`sequence_image` and :func:`zero_balanced` compute one by a single
 linear walk over the atom occurrences, for the join precondition, the
@@ -123,7 +126,11 @@ def _ginv(a: tuple) -> tuple:
 # into one int, one lane per entry (0,0), (0,1), (1,0), (1,1), lowest
 # first; bit k of each lane belongs to valuation k.  The relations on one
 # point are the two Boolean truth values, so a Boolean truth table is the
-# one-point case; two points let a valuation see order.
+# one-point case; two points let a valuation see order.  Any valuation is
+# sound, so which 64 are used moves only how much the kernel prunes: the
+# atoms of compiled unique-type lexicons take the 64 in _CHOSEN_TV,
+# generated by tools/choose_valuations.py, and every other atom a fixed
+# pseudo-random draw keyed by its name (see _atom_tv).
 
 _ALL = (1 << 64) - 1                   # one lane, and entry (0,0)
 _L01 = _ALL << 64
@@ -159,10 +166,57 @@ def _conv(r: int) -> int:
     return r & _ID | (r & _L01) << 64 | (r & _L10) >> 64
 
 
+# the four lanes of every atom name of the lifted universal lexicon,
+# compile_unique(to_gnf2(total_plus_to_alt2(S -> a S | b S | a | b))),
+# under 64 valuations chosen from a pool of 4,096 to refute the kernel's
+# failed states on that grammar; printed by tools/choose_valuations.py,
+# and to be re-generated, not edited, when the compiler's atom names
+# change
+_CHOSEN_TV = {
+    "d": 0x913e238b08a816f937486eb7c7761d0ce4f98507917a1e234f2a7f5db21350eb,
+    "d#1": 0xc17bb57590a755037578574c77a151362bac75b9c2d8272a1814722b6a200ae5,
+    "d#2": 0xc4a3f8dc2f0888baaa994a896c77a2925d2347cd64d447ec850f2aba0d448385,
+    "d#3": 0xbd430603b1dd3a435cc31d772221a3856be3dae38f507769d887d25d3f43bb76,
+    "p0": 0x46d409de5a9bed954701a2fe2660cc304121efe85b507de6161d136f9307439b,
+    "p1": 0x28740070ad8dd89b5780a097f634b6f801200328331ff749001c2c9000c50406,
+    "p2": 0x433c01ea979860a7aeacc09e78a69b63e90e3e2633682c5f3b6a37c199937a84,
+    "p3": 0xd5404e3fa0fd5c1d18dd7d0be840258260de704d242b3269f9a13417f8f11535,
+    "p4": 0x5137200c8c4420e46fd1f6902c446aee27a8813c2014c74df6a53d301fc2d674,
+    "p5": 0xee120d67336c704ba27ed016f542a726387e3478ac39b434509ec8692b53797e,
+    "p6": 0xe980bed0d28d0bb66a0376a375b01c2619911677d947a433979bdbf123decb04,
+    "q0": 0x558d207ec6459c97d84269cc1b197990563064df00f2dfd935bd05473b635438,
+    "q1": 0xcf6dc3fcf965dcf565a92aec5c56c0bdbbfafd233c0e6b02fec3ff0f2095f77a,
+    "q2": 0xf8c389454d2821634d5e5e5d2ecbda6200f7f2782a0af2b1e80a8fe371ffae14,
+    "q3": 0x09eff0e99b6b8209b358f1972274f53ba76ea6706e88a7ca0a5edf604c9f94b5,
+    "q4": 0xde24823e5cd750e7460ce01f7ef47a6df896c1675f57bb0941aef819cdacbbae,
+    "q5": 0x3496c778f25da82ad79a39894538f8a05b09fe4ea1f9d5d71e3ffd714f7d1980,
+    "q6": 0xfb2f6dede30befe776901f8250c65425331d5b71a1d9f6658ffc4c2af895298e,
+    "r0": 0xd4b276b32f344539758382468feb4f8b6b48a296f3ab6d5845b6f735258843a3,
+    "r1": 0x60941614af3d303e1f0080f134fcdf7e238000c8465e76f98817e234a6253e42,
+    "r2": 0x7c33d678e83ef1aed9d2473cfa2ddef039a0b1b257722e49595e61211a92294f,
+    "r3": 0x8b9bdd9d6bef3cec525d5714a7c2237bc5c4032dec68021459d7e8477630656d,
+    "r4": 0x336d3083dccee0a5305ba484441c2884b1b377ac4b9ea283869328726a0bee5e,
+    "r5": 0xaac43f464f46f4c00fa2005815da181274958126161d2b959472ba563420d08a,
+    "r6": 0x670d2c7ae685d1ae2631d7256e50f2aac3f7603f1dd904f3fbf3e72622fe391c,
+    "s": 0x32b8e28e6edfa261a62db826b107dd6c5bbae35bfcf1bade3a752d5f944079f2,
+    "t": 0x23d228498c94ec862b14024b8021ca0c9db9ae61707adae4ce5cf2ec1b143741,
+    "u": 0x3b1abb78045b82296b5105f930fc58debe87ff84eebb98069e30514e966a4dec,
+    "v": 0x4d3b6816c78883da7b12e73883b998273680a27c7ade86b8ceddbab05d40e611,
+    "w": 0x72b8f495c33e7edfdba2f6f5c79c59fa72a75a976d9b61c64b02f63333736537,
+    "x": 0xaabffecf541dadffba3ffe1facfae111d7c989ef3afbd2547dc251e0d9077fcf,
+    "z": 0x5ccca5f020dc8c3241ccc532c6b6fa8368eebd1fbf2f4e5c8abca52260c0773d,
+}
+
+
 def _atom_tv(name: str) -> int:
-    """An atom's four lanes, fixed by its name alone: FNV-1a of the name
-    seeds the splitmix64 stream, whose next four outputs are the lanes
-    (built-in ``hash`` of a ``str`` is salted per process)."""
+    """An atom's four lanes, fixed by its name alone: its entry in
+    ``_CHOSEN_TV`` for a compiler atom, else a pseudo-random draw, where
+    FNV-1a of the name seeds the splitmix64 stream, whose next four
+    outputs are the lanes (built-in ``hash`` of a ``str`` is salted per
+    process)."""
+    tv = _CHOSEN_TV.get(name)
+    if tv is not None:
+        return tv
     h = 0xCBF29CE484222325
     for byte in name.encode():
         h = (h ^ byte) * 0x100000001B3 & _ALL

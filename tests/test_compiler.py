@@ -27,10 +27,12 @@ from lambekstar import (
     render_formula,
     sentinel,
     to_gnf2,
+    total_plus_to_alt2,
     zero_balanced,
 )
 from lambekstar.checker import assert_valid_derivation, check_derivation
 from lambekstar.compiler import _build_is_parts
+from lambekstar.formula import _CHOSEN_TV, atoms_of
 
 
 @pytest.fixture(scope="module")
@@ -211,9 +213,8 @@ class TestCompileUnique:
     def test_kernel_compositions_are_pinned(self, monkeypatch):
         # every kernel state folds its antecedent's prefix and suffix
         # values at most once, so a peel's fixed context costs no
-        # composition per candidate segment; re-folding it for each one
-        # cost 447,470 compositions here.  A warm-up compile interns every
-        # formula first, so the count is the provers' alone.
+        # composition per candidate segment.  A warm-up compile interns
+        # every formula first, so the count is the provers' alone.
         from lambekstar import _search, formula
         g = to_gnf2(parse_cfg("@start S\nS -> A S b | b\nA -> a A | "))
         compile_unique(g)
@@ -227,8 +228,18 @@ class TestCompileUnique:
         monkeypatch.setattr(_search, "_comp", counted)
         session = ProverSession()
         compile_unique(g, session=session)
-        assert session.steps_used == 18_329
-        assert len(calls) == 237_054
+        assert session.steps_used == 8_696
+        assert len(calls) == 110_067
+
+    def test_chosen_valuations_name_every_compiled_atom(self):
+        # formula._CHOSEN_TV holds the lifted universal lexicon's atoms; a
+        # renamed compiler atom falls back to the pseudo-random draw and
+        # fails here until tools/choose_valuations.py is re-run
+        universal = parse_cfg("S -> a S\nS -> b S\nS -> a\nS -> b")
+        cg = compile_unique(to_gnf2(total_plus_to_alt2(universal)))
+        assert set(_CHOSEN_TV) == atoms_of(cg.goal, *cg.lexicon.values())
+        assert len(_CHOSEN_TV) == 32
+        assert Atom("x").rv == _CHOSEN_TV["x"]
 
 
 class TestGaifman:

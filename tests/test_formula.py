@@ -471,6 +471,21 @@ def covers(g, c):
 
 
 class TestTruthMask:
+    def test_atoms_outside_the_chosen_table_keep_their_draw(self):
+        # only the compiler's atom names are in formula._CHOSEN_TV; any
+        # other name keeps the splitmix64 draw keyed by its name
+        assert "p" not in formula._CHOSEN_TV
+        assert formula._atom_tv("p") == int(
+            "21d371268a8b1f41455757544fe86d5f"
+            "43c1bc9681ae43f4d6f8df0da394dee3", 16)
+        assert formula._atom_tv("q") == int(
+            "51004c78f4bec7e3ed4893bc4c27418f"
+            "7772c4185b61cf83ad76a3077678d994", 16)
+        assert formula._atom_tv("a1") == int(
+            "e4fe240609d77cae40219dd42aa1ca14"
+            "85c86d945a6711b6250b907a1315dee5", 16)
+        assert p.rv == formula._atom_tv("p")
+
     def test_connectives_follow_their_definitions(self, rng):
         # composition and both residuals, against the relations they pack
         pts = (0, 1)

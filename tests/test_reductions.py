@@ -140,13 +140,23 @@ class TestRefuteAlt2:
         w = refute_alt2(total_plus_to_alt2(parse_cfg(AB_GRAMMAR)), 3,
                         session=session)
         assert w is not None and w.word == ("a", "a", "b")
-        assert session.steps_used == 455
-        assert len(session.memo) == 455
+        assert session.steps_used == 341
+        assert len(session.memo) == 341
         proved = [(s, r.derivation) for s, r in proofs if r.proved]
         assert len(proved) == 1
         for s, d in proved:
             assert d.conclusion == s
             assert check_derivation(d)
+
+    def test_lifted_universal_work_is_pinned(self):
+        # the lifted universal grammar to length 6, compile included: the
+        # training run of tools/choose_valuations.py, which takes 31,451
+        # states on the pseudo-random draw alone
+        universal = parse_cfg("S -> a S\nS -> b S\nS -> a\nS -> b")
+        session = ProverSession()
+        assert refute_alt2(total_plus_to_alt2(universal), 6,
+                           session=session) is None
+        assert session.steps_used == 8_993
 
     def test_entry_points_refuse_a_restricted_session(self):
         # each entry point resolves its session before any work, so a

@@ -16,9 +16,10 @@ fresh checkouts without bytecode caches.  Then, in each checkout:
 * ``perfbench/run.py --trace 1`` for every workload and seeds 1..10, in
   the same alternating order, for the per-layer metrics;
 * ``refute_alt2`` on the lifted universal grammar
-  ``total_plus_to_alt2(S -> a S | b S | a | b)`` to lengths 4, 6 and 8, in
-  a fresh process and session, compile included, 3 alternating pairs per
-  length, with each side's median seconds, states and peak RSS per length;
+  ``total_plus_to_alt2(S -> a S | b S | a | b)`` to word-length bounds
+  4, 6, 8 and 10, in a fresh process and session, compile included, 3
+  alternating pairs per bound, with each side's median seconds, states
+  and peak RSS per bound;
 * ``import lambekstar`` in a fresh interpreter, 15 times per side,
   alternating sides: the import's seconds (median and minimum per side),
   the modules it adds to ``sys.modules`` (outside the package itself),
@@ -88,7 +89,7 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-BOUNDS = (4, 6, 8)
+BOUNDS = (4, 6, 8, 10)
 SEEDS = 10
 IMPORT_RUNS = 15
 ONE_OFF_PAIRS = 3
