@@ -29,7 +29,7 @@ from .cfg import (
 )
 from .joins import (
     JoinProblem, JoinCertificate, JoinPreconditionError, JoinSynthesisError,
-    join, product_fold, eliminate_product, optionalize,
+    join, eliminate_product, optionalize,
 )
 from .compiler import (
     CompiledGrammar, LambekGrammar, UnusedTerminalError,

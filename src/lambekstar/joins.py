@@ -3,25 +3,20 @@
 Given formula sequences Γ₁ … Γₙ that share a single free-group image, a
 *join* is a formula J in the pure division language with ⊢ Γᵢ → J for every
 i.  Joins exist for all zero-balanced families, but this module makes no
-completeness claim: it layers a few certified strategies and *verifies every
-candidate with the prover* before emitting it, so a returned
+completeness claim: it builds one candidate and *verifies it with the
+prover* for every input before emitting it, so a returned
 :class:`JoinCertificate` is sound by construction and a family the
-strategies cannot handle fails loudly with the list of tried candidates.
+candidate does not fit fails loudly, saying why.
 
-Strategies, in order:
-
-0. *single* — a one-row family joins at its own product, raised over a
-   fresh core and with the products eliminated (the candidate of strategy
-   2 for one row, tried first and only once).
-1. *menu raising* — pick the longest input as a master sequence, align the
-   other inputs into it monotonically, replace every slot some input skips
-   by an "optional" variant O(m) with ⊢ Λ → O(m) and ⊢ m → O(m), and raise
-   the whole menu over a fresh core: ``J = d/(M₁\\(M₂\\…\\d))``.  This is the
-   workhorse for the staircase families produced by the grammar compiler.
-2. *product of all* — raise the product of all inputs and eliminate the
-   products; it verifies exactly when every input is derivable from the
-   empty sequence once its siblings are removed (e.g. families of
-   identities ``A\\A``, ``B\\B``).
+The candidate is *menu raising*: take the longest input as the master
+sequence, align every other input into it monotonically, replace every
+slot some input skips by an "optional" variant O(m) with ⊢ Λ → O(m) and
+⊢ m → O(m), and raise the whole menu over a fresh core:
+``J = d/(M₁\\(M₂\\…\\d))``.  It joins the staircase suffix and prefix
+families of the grammar compiler, one-row families (a row joins at its
+own raised menu) and families of rows that embed in the longest one with
+optionalizable gaps; a family whose rows embed in no common master (say
+``p\\p`` and ``q\\q``) has no candidate.
 
 Every ``prove`` a join makes, its candidate builders' included, runs in
 one :class:`ProverSession`, the caller's or a fresh one, so no state is
@@ -38,16 +33,15 @@ from typing import Iterable, Sequence
 from .checker import assert_valid_derivation
 from .formula import (
     ATOM, OVER, PROD, UNDER,
-    Atom, Derivation, Formula, FragmentError, LambekError, Over, Prod,
+    Atom, Derivation, Formula, FragmentError, LambekError, Over,
     Sequent, Under, VarSupply, _rebuild, _Record, curried_division,
-    division_pure, sequence_image, split_curried,
+    sequence_image, split_curried,
 )
 from .prover import DEFAULT_BUDGET, ProverSession, _session_for, prove
 
 __all__ = [
     "JoinProblem", "JoinCertificate", "JoinPreconditionError",
-    "JoinSynthesisError", "join", "product_fold", "eliminate_product",
-    "optionalize",
+    "JoinSynthesisError", "join", "eliminate_product", "optionalize",
 ]
 
 
@@ -56,7 +50,7 @@ class JoinPreconditionError(LambekError):
 
 
 class JoinSynthesisError(LambekError):
-    """No tried candidate verified within budget."""
+    """The menu candidate could not be built or did not verify."""
 
 
 def _check_language(f: Formula) -> None:
@@ -66,19 +60,7 @@ def _check_language(f: Formula) -> None:
 
 
 # --------------------------------------------------------------------------
-# folding and product elimination
-
-def product_fold(gamma: Sequence[Formula], fallback_var: str = "q") -> Formula:
-    """Left-nested product of a sequence; the empty sequence folds to q/q."""
-    gamma = tuple(gamma)
-    if not gamma:
-        v = Atom(fallback_var)
-        return Over(v, v)
-    out = gamma[0]
-    for x in gamma[1:]:
-        out = Prod(out, x)
-    return out
-
+# product elimination
 
 def eliminate_product(f: Formula, *, budget: int = DEFAULT_BUDGET,
                       session: ProverSession | None = None) -> Formula:
@@ -286,52 +268,21 @@ def _align(row: tuple[Formula, ...],
     return tuple(out)
 
 
-def _candidates(p: JoinProblem, supply: VarSupply, fresh_core,
-                session: ProverSession) -> Iterable[tuple[str, Formula]]:
-    def raised_product(label: str) -> Iterable[tuple[str, Formula]]:
-        try:
-            folds = [product_fold(row, fallback_var=supply.fresh("q"))
-                     for row in p.inputs]
-            yield (label,
-                   eliminate_product(product_fold(folds), session=session))
-        except JoinSynthesisError:
-            pass
-    # 0. one sequence joins with itself
-    if len(p.inputs) == 1:
-        yield from raised_product("single")
-    # 1. menu raising over the longest input
-    master = max(p.inputs, key=len)
-    alignments = [_align(row, master) for row in p.inputs]
-    if all(a is not None for a in alignments):
-        covered_by_all = set(range(len(master)))
-        for a in alignments:
-            covered_by_all &= set(a)
-        try:
-            menu = []
-            for i, m in enumerate(master):
-                slot = eliminate_product(m, session=session)
-                menu.append(slot if i in covered_by_all
-                            else optionalize(slot, session=session))
-            core = fresh_core()
-            yield ("menu", Over(core, curried_division(menu, core, [])))
-        except JoinSynthesisError:
-            pass
-    # 2. product of all inputs, raised; for one row it is the single one
-    if len(p.inputs) > 1:
-        yield from raised_product("product-of-all")
-
-
 def join(p: JoinProblem, *, budget: int = DEFAULT_BUDGET,
          session: ProverSession | None = None) -> JoinCertificate:
     """Compute a verified join for the family, or fail with diagnostics.
 
+    The one candidate is the menu over the longest row (see the module
+    docstring), raised over the first name of ``p.variable_budget`` that
+    the inputs do not use, or over a fresh ``d`` when there is none.
     Every ``prove`` of the call runs in ``session`` (a fresh one when it is
     None), which must be unrestricted; its memo makes a repeat of the same
     problem expand no new state.  ``budget`` bounds each witness
     verification.  Raises :class:`JoinPreconditionError` when the inputs
     do not share one free-group image (then no join exists at all), and
-    :class:`JoinSynthesisError` when every strategy's candidate fails
-    prover verification.
+    :class:`JoinSynthesisError` when a row does not embed in the longest
+    one, a slot has no product-free or optional form, or a row does not
+    derive the candidate.
     """
     session = _session_for(session, False)
     images = {sequence_image(row) for row in p.inputs}
@@ -340,30 +291,39 @@ def join(p: JoinProblem, *, budget: int = DEFAULT_BUDGET,
             "inputs have different free-group images: "
             + ", ".join(sorted(str(sequence_image(r)) for r in p.inputs)))
 
+    master = max(p.inputs, key=len)
+    covered = set(range(len(master)))
+    for row in p.inputs:
+        a = _align(row, master)
+        if a is None:
+            raise JoinSynthesisError(
+                "no menu candidate tried: " + _row(row)
+                + " does not embed in the longest row " + _row(master))
+        covered.intersection_update(a)
+    try:
+        menu = []
+        for i, m in enumerate(master):
+            slot = eliminate_product(m, session=session)
+            menu.append(slot if i in covered
+                        else optionalize(slot, session=session))
+    except JoinSynthesisError as e:
+        raise JoinSynthesisError(f"no menu candidate tried: {e}") from None
     supply = VarSupply.for_formulas(itertools.chain.from_iterable(p.inputs))
-    budget_names = [n for n in p.variable_budget if n not in supply.used]
+    names = [n for n in p.variable_budget if n not in supply.used]
+    core = Atom(names[0]) if names else supply.fresh_atom("d")
+    cand = Over(core, curried_division(menu, core, []))
 
-    def fresh_core() -> Formula:
-        if budget_names:
-            return Atom(budget_names.pop(0))
-        return supply.fresh_atom("d")
+    witnesses = []
+    for row in p.inputs:
+        r = prove(Sequent(row, cand), session=session, budget=budget)
+        if not r.proved:
+            raise JoinSynthesisError(
+                f"menu candidate {cand} tried: {_row(row)} does not "
+                "derive it")
+        witnesses.append(r.derivation)
+    assert_valid_derivation(*witnesses)
+    return JoinCertificate(p, cand, tuple(witnesses))
 
-    tried: list[str] = []
-    for label, cand in _candidates(p, supply, fresh_core, session):
-        if not division_pure(cand):
-            tried.append(f"{label}: {cand} (not division-pure)")
-            continue
-        witnesses = []
-        for row in p.inputs:
-            r = prove(Sequent(row, cand), session=session, budget=budget)
-            if not r.proved:
-                witnesses = None
-                break
-            witnesses.append(r.derivation)
-        if witnesses is None:
-            tried.append(f"{label}: {cand}")
-            continue
-        assert_valid_derivation(*witnesses)
-        return JoinCertificate(p, cand, tuple(witnesses))
-    raise JoinSynthesisError(
-        "no candidate verified; tried:\n  " + "\n  ".join(tried or ["(none)"]))
+
+def _row(row: tuple[Formula, ...]) -> str:
+    return "(" + ", ".join(str(f) for f in row) + ")"

@@ -304,20 +304,13 @@ def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
     if sk == STAR:
         if not ant:
             return Derivation("->*_0", Sequent(ant, succ))
-        n = len(ant)
-        for k in range(1, n + 1):
-            for cuts in combinations(range(1, n), k - 1):
-                bounds = (0,) + cuts + (n,)
-                premises = []
-                for a, b2 in zip(bounds, bounds[1:]):
-                    p = _general(ant[a:b2], succ.left, memo, budget,
-                                 restricted)
-                    if p is None:
-                        break
-                    premises.append(p)
-                else:
-                    return Derivation(f"->*_{k}", Sequent(ant, succ),
-                                      tuple(premises))
+        dead: set = set()
+        for k in range(1, len(ant) + 1):
+            premises = _blocks(ant, 0, k, succ.left, memo, budget,
+                               restricted, dead)
+            if premises is not None:
+                return Derivation(f"->*_{k}", Sequent(ant, succ),
+                                  tuple(premises))
     elif sk == PROD:
         for i in range(len(ant) + 1):
             p1 = _general(ant[:i], succ.left, memo, budget, restricted)
@@ -370,6 +363,32 @@ def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
                          budget, restricted)
             if p is not None:
                 return Derivation("&->2", Sequent(ant, succ), (p,))
+    return None
+
+
+def _blocks(ant: tuple, i: int, k: int, body: Formula, memo: dict,
+            budget: list, restricted: bool, dead: set) -> list | None:
+    """Derivations of ``ant[i:]`` split into ``k`` non-empty blocks, each
+    concluding ``body``, for the smallest first cut whose rest splits into
+    ``k - 1``, and so on: the first split in the lexicographic order of
+    the cuts.  ``dead`` holds the ``(i, k)`` already found to have no
+    split, shared by every ``k`` of one ``->*_k`` state, so each suffix
+    and block count is searched once and the state costs polynomially
+    many calls where the order of all cuts takes ``2^(n-1)``."""
+    n = len(ant)
+    if k == 1:
+        p = _general(ant[i:], body, memo, budget, restricted)
+        return None if p is None else [p]
+    if (i, k) in dead:
+        return None
+    for j in range(i + 1, n - k + 2):
+        p = _general(ant[i:j], body, memo, budget, restricted)
+        if p is None:
+            continue
+        rest = _blocks(ant, j, k - 1, body, memo, budget, restricted, dead)
+        if rest is not None:
+            return [p] + rest
+    dead.add((i, k))
     return None
 
 

@@ -231,6 +231,14 @@ class TestCompileUnique:
         assert session.steps_used == 8_696
         assert len(calls) == 110_067
 
+    def test_every_join_raises_over_its_reserved_core(self):
+        # two terminals with one rule each: all four joins are one-row
+        # families, and each raises over the core the compiler reserves
+        # for it, so the four cores are distinct
+        cg = compile_unique(to_gnf2(parse_cfg("S -> a B\nB -> b")))
+        atoms = atoms_of(*cg.lexicon.values())
+        assert {"d", "d#1", "d#2", "d#3"} <= atoms
+
     def test_chosen_valuations_name_every_compiled_atom(self):
         # formula._CHOSEN_TV holds the lifted universal lexicon's atoms; a
         # renamed compiler atom falls back to the pseudo-random draw and

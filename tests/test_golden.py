@@ -35,7 +35,7 @@ from lambekstar import (LambekError, Prod, ProverSession, Sequent, Unit,
 from helpers import (random_division_pure, random_division_sequent,
                      random_star_external)
 
-GOLDEN = "d3b609c1bb96db7fe8426a8c0a5f85476fef29837360a9609c365f3b6c689923"
+GOLDEN = "5016bec3c769cfbceda2e3ae1953ea0755e393184d81e3d9b7a5065ea63fe256"
 
 SEED = 20261018
 

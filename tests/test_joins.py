@@ -21,7 +21,6 @@ from lambekstar import (
     join,
     optionalize,
     parse_formula,
-    product_fold,
     prove,
     render_derivation,
     sentinel,
@@ -36,24 +35,6 @@ P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
 def proves(antecedent, succedent) -> bool:
     return prove(Sequent(tuple(antecedent), succedent)).proved
-
-
-class TestProductFold:
-    def test_empty_folds_to_self_division(self):
-        f = product_fold(())
-        assert f == Over(Q, Q)
-        assert proves((), f)
-
-    def test_empty_fold_honours_fallback_name(self):
-        v = Atom("z9")
-        assert product_fold((), fallback_var="z9") == Over(v, v)
-
-    def test_singleton_is_identity(self):
-        f = Under(P, Q)
-        assert product_fold((f,)) is f
-
-    def test_fold_is_left_nested(self):
-        assert product_fold((P, Q, R)) == Prod(Prod(P, Q), R)
 
 
 class TestEliminateProduct:
@@ -176,12 +157,6 @@ class TestJoinBasics:
             join(JoinProblem(((P,), (Q,))))
         assert "image" in str(exc.value)
 
-    def test_single_row_joins_with_itself(self):
-        cert = join(JoinProblem(((P,),)))
-        assert cert.join is P
-        assert len(cert.witnesses) == 1
-        assert cert.witnesses[0].conclusion == Sequent((P,), P)
-
     def test_single_empty_row_joins_at_a_fresh_self_division(self):
         cert = join(JoinProblem(((),)))
         assert division_pure(cert.join)
@@ -203,33 +178,6 @@ class TestJoinBasics:
         with pytest.raises(JoinSynthesisError) as exc:
             join(fam)
         assert "tried" in str(exc.value)
-
-    def test_one_row_family_eliminates_its_product_twice(self, monkeypatch):
-        # the raised product of the one row is the single candidate; the
-        # menu eliminates the same slot once more, and no product-of-all
-        # candidate repeats the first elimination
-        from lambekstar import joins
-        calls = []
-        elim = joins.eliminate_product
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return elim(*args, **kwargs)
-        monkeypatch.setattr(joins, "eliminate_product", counted)
-        with pytest.raises(JoinSynthesisError):
-            join(JoinProblem(((parse_formula("r/(p\\(q.r))"),),)))
-        assert len(calls) == 2
-
-    def test_rows_with_no_common_master_join_as_a_raised_product(self):
-        # neither row embeds in the other, so no menu exists; the product
-        # of both rows, raised over a fresh core, verifies because each row
-        # is derivable from the empty sequence
-        rows = ((Under(P, P),), (Under(Q, Q),))
-        cert = join(JoinProblem(rows))
-        assert cert.join == parse_formula("d/((q\\q)\\(p\\p)\\d)")
-        for row, w in zip(rows, cert.witnesses):
-            assert w.conclusion == Sequent(row, cert.join)
-            assert_valid_derivation(w)
 
 
 class TestMenuJoins:

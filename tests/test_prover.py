@@ -249,6 +249,22 @@ class TestEngines:
             assert (prove(s, restricted=True).proved
                     == naive_prove(s, restricted=True))
 
+    def test_star_block_split_is_polynomial(self, monkeypatch):
+        # p, ..., p -> p^* tries every block count before the last; each
+        # (first cut, block count) is searched once per state, not each of
+        # the 2^15 cut sets
+        from lambekstar import prover
+        calls = []
+        general = prover._general
+
+        def counted(*args):
+            calls.append(None)
+            return general(*args)
+        monkeypatch.setattr(prover, "_general", counted)
+        d = prove(Sequent((p,) * 16, Star(p))).derivation
+        assert d.rule == "->*_16"
+        assert len(calls) <= 2_000
+
     def test_general_engine_matches_oracle_on_full_vocabulary(self, rng):
         # the general engine against the oracle on sequents with ., 1, |,
         # & and positive ^*/^+, in both modes; every Proved is checked
@@ -652,6 +668,65 @@ class TestCertificates:
             assert str(e.value) == (
                 f"bad [.->] node at {text}: conclusion does not fuse two "
                 "adjacent premise formulas")
+
+    @pytest.mark.parametrize("rule, conclusion, premises, why", [
+        ("Ax", "p\\p -> p\\p", (), "axiom succedent must be an atom"),
+        ("\\->", "p, p\\q -> q", ("p -> p", "q -> r"),
+         "context premise changes the succedent"),
+        ("/->", "q/p, p -> q", ("p -> p", "q -> r"),
+         "context premise changes the succedent"),
+        ("->\\", "p -> q", ("p -> q",), "succedent is not a \\-formula"),
+        ("->\\", "q -> p\\q", ("q, p -> q",),
+         "premise must prepend the denominator"),
+        ("->/", "p -> q", ("p -> q",), "succedent is not a /-formula"),
+        ("->/", "q -> q/p", ("p, q -> q",),
+         "premise must append the denominator"),
+        (".->", "p.q -> p.q", ("p, q -> q.p",),
+         "premise changes the succedent"),
+        ("->.", "p, q -> p", ("p -> p", "q -> q"),
+         "succedent is not a product"),
+        ("->.", "p, q -> p.q", ("p -> q", "q -> q"),
+         "premises do not prove the factors"),
+        ("1->", "1, p -> p", ("p -> q",), "premise changes the succedent"),
+        ("1->", "1, p -> p", ("q -> p",),
+         "conclusion does not insert a unit into the premise"),
+        ("|->", "p|q -> r", ("p -> r", "q -> p"),
+         "premises change the succedent"),
+        ("|->", "p|q -> r", ("p, p -> r", "q -> r"),
+         "antecedent lengths disagree"),
+        ("|->", "p|q -> r", ("q -> r", "p -> r"),
+         "premises are not the two branches of one |-formula"),
+        ("->|1", "p -> p", ("p -> p",), "succedent is not an |-formula"),
+        ("->|2", "p -> p|q", ("p -> p",),
+         "premise does not prove the chosen side"),
+        ("&->1", "p&q -> p", ("p -> q",), "premise changes the succedent"),
+        ("&->1", "p&q -> p", ("p, q -> p",), "antecedent lengths disagree"),
+        ("&->2", "p&q -> p", ("p -> p",),
+         "premise does not keep the chosen conjunct"),
+        ("->&", "p -> p", ("p -> p", "p -> p"),
+         "succedent is not an &-formula"),
+        ("->&", "p -> p&p", ("p -> p", "q -> p"),
+         "premises change the antecedent"),
+        ("->&", "p -> p&q", ("p -> p", "p -> p"),
+         "premises do not prove both conjuncts"),
+        ("->*_1", "p -> p", ("p -> p",), "succedent is not a ^*-formula"),
+        ("->*_x", "p -> p^*", ("p -> p",), "malformed ->*_k label"),
+        ("->*_1", "p -> p^*", ("p -> q",),
+         "block premise does not prove the starred formula"),
+        ("->*_2", "p, p -> p^*", ("p -> p", "q -> p"),
+         "block antecedents do not concatenate to the conclusion"),
+    ])
+    def test_checker_rejects_each_tampered_rule(self, rule, conclusion,
+                                                premises, why):
+        # one forged node per rejection of the rule schemas; the premises
+        # are bare "Ax" nodes, never reached, since the forged node is
+        # checked first and rejected
+        d = Derivation(rule, parse_sequent(conclusion), tuple(
+            Derivation("Ax", parse_sequent(t)) for t in premises))
+        assert not check_derivation(d)
+        with pytest.raises(CertificateError) as e:
+            assert_valid_derivation(d)
+        assert str(e.value) == f"bad [{rule}] node at {conclusion}: {why}"
 
     def test_checking_join_witnesses_interns_nothing(self, monkeypatch):
         from lambekstar import compile_unique, formula, parse_cfg, to_gnf2

@@ -41,7 +41,9 @@ fresh checkouts without bytecode caches.  Then, in each checkout:
 * small calls, 3 alternating pairs, each run in a fresh process, with
   each side's medians: the best-of-7 per-call
   microseconds (2,000 calls a repeat) of ``prove`` on ``p, p\\q -> q`` and
-  of ``instance_soundness`` on ``p, q, q -> p.q^*``, and the number of
+  of ``instance_soundness`` on ``p, q, q -> p.q^*``, the seconds of one
+  ``prove`` of ``p, ..., p -> p^*`` (22 times ``p``, a star's block
+  split over every block count), and the number of
   ``Sequent`` and ``Derivation`` objects that one pass over the seed-1
   stream of the ``small-sequents`` workload builds (each item parsed,
   then proved or certified as the workload does), counted by wrapping the
@@ -195,7 +197,7 @@ print(json.dumps(out))
 """
 
 SMALL_CALLS = """
-import json, sys, timeit
+import json, sys, time, timeit
 sys.path.insert(0, "perfbench")
 from inputs import STREAM_ITEMS, sequent_stream
 from lambekstar import (Derivation, ProverSession, Sequent, division_pure,
@@ -210,6 +212,10 @@ inst = parse_sequent("p, q, q -> p.q^*")
 out = {"prove_us": best_us(lambda: prove(s)),
        "instance_soundness_us": best_us(
            lambda: instance_soundness(inst.succedent, inst.antecedent))}
+blocks = parse_sequent(", ".join(["p"] * 22) + " -> p^*")
+t0 = time.perf_counter()
+prove(blocks)
+out["star_blocks_s"] = round(time.perf_counter() - t0, 4)
 items = sequent_stream(1, STREAM_ITEMS)
 built = {Sequent: 0, Derivation: 0}
 for cls in built:
@@ -439,7 +445,8 @@ def main() -> int:
             "runs": [], "medians": {}},
         "small_calls": {
             "what": "best-of-7 per-call us of prove(p, p\\q -> q) and of "
-                    "instance_soundness(p, q, q -> p.q^*), and the Sequent "
+                    "instance_soundness(p, q, q -> p.q^*), the seconds of "
+                    "one prove(p x 22 -> p^*), and the Sequent "
                     "and Derivation objects, membership calls and kernel "
                     "and general-engine steps of one seed-1 small-sequents "
                     "stream pass, in a fresh process; "
@@ -524,7 +531,7 @@ def main() -> int:
                      "identity_hash_peak_rss_mb", "star_seconds",
                      "star_peak_rss_mb"))
         alternating("small_calls", SMALL_CALLS, ONE_OFF_PAIRS,
-                    ("prove_us", "instance_soundness_us",
+                    ("prove_us", "instance_soundness_us", "star_blocks_s",
                      "sequents_per_pass", "derivations_per_pass",
                      "membership_calls_per_pass", "kernel_steps_per_pass",
                      "general_steps_per_pass"))
