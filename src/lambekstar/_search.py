@@ -60,8 +60,17 @@ node count, so the search never meets a state it is still expanding and
 terminates.  A state is memoised only once it is decided, as its finished
 derivation or False; repeated queries share subtrees, and a search cut
 short leaves nothing behind but finished results.  The memo keys are
-``(ant, succ)`` and ``(lctx, f, rctx, succ)``; the general engine keys its
-states ``(succ, ant)``, so both engines can share one session's memo.
+``(ant, succ)`` and ``(lctx, f, rctx, succ)``.
+
+The general engine (``prover._general``) keys its own states
+``(ant, succ)`` too, hands every division-pure one to :func:`search`, and
+focuses on a \\ or / formula of the full vocabulary through :func:`_peel`,
+with itself as the sub-search.  There a head that is not an atom ends the
+peel: the sequent left, context on both sides included, goes to the
+sub-search, and the spine-count bounds, which hold for an atom head that
+takes no context, are skipped.  So a key names one sequent or one peel,
+whichever engine stored it, and a division-pure peel gets the same result
+from either sub-search.
 """
 
 from .formula import (
@@ -155,7 +164,7 @@ def _solve_atomic(ant, succ, memo, budget, restricted, tested):
                 pre = [_ID]
                 suf = [_ID]
             d = _peel(ant[:i], f, ant[i + 1:], succ, memo, budget, restricted,
-                      pre, suf)
+                      pre, suf, search)
             if d is not None:
                 return d
     return None
@@ -187,16 +196,21 @@ def _suffix(suf, rctx, k):
     return acc
 
 
-def _peel(lctx, f, rctx, succ, memo, budget, restricted, pre, suf):
+def _peel(lctx, f, rctx, succ, memo, budget, restricted, pre, suf, sub):
     """Derivation of ``lctx, f, rctx -> succ`` in which ``f`` is peeled all
-    the way down to its head atom, or None.  ``pre`` and ``suf`` are the
+    the way down to its head, or None.  ``pre`` and ``suf`` are the
     prefix and suffix values of the state's antecedent, of which ``lctx``
-    is a prefix and ``rctx`` a suffix."""
+    is a prefix and ``rctx`` a suffix.  ``sub`` is the sub-search, called
+    as ``sub(ant, succ, memo, budget, restricted, tested)``: :func:`search`
+    here, the general engine there.  It decides each denominator's segment
+    and, at a head that is not an atom, the sequent the peel leaves."""
     k = f.kind
     if k == ATOM:
         if f is succ and not lctx and not rctx:
             return Derivation("Ax", Sequent((f,), succ))
         return None
+    if k != UNDER and k != OVER:
+        return sub(lctx + (f,) + rctx, succ, memo, budget, restricted, True)
 
     key = (lctx, f, rctx, succ)
     hit = memo.get(key, None)
@@ -218,6 +232,7 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted, pre, suf):
         x = f.left
         g = f.right
         nl = g.nl                          # \ denominators left for lctx[:j]
+        alone = not nl and g.top is not None   # so lctx[:j] must be empty
         xf = ~x.rv                         # valuations refuting x
         sf = ~succ.rv                      # valuations refuting succ
         gr = _comp(g.rv, _suffix(suf, rctx, len(rctx)))   # [g];[rctx]
@@ -228,16 +243,16 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted, pre, suf):
                 tv = _comp(lctx[j].rv, tv)
             elif restricted:
                 continue
-            if (j and not nl) or tv & xf:
+            if (j and alone) or tv & xf:
                 continue
             # lctx[:j], g, rctx -> succ
             if _comp(_prefix(pre, lctx, j), gr) & sf:
                 continue
-            p1 = search(lctx[j:], x, memo, budget, restricted, True)
+            p1 = sub(lctx[j:], x, memo, budget, restricted, True)
             if p1 is None:
                 continue
             rest = _peel(lctx[:j], g, rctx, succ, memo, budget, restricted,
-                         pre, suf)
+                         pre, suf, sub)
             if rest is None:
                 continue
             if conclusion is None:
@@ -248,6 +263,7 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted, pre, suf):
         y = f.right
         g = f.left
         nr = g.nr                          # / denominators left for rctx[j:]
+        alone = not nr and g.top is not None   # so rctx[j:] must be empty
         yf = ~y.rv                         # valuations refuting y
         sf = ~succ.rv                      # valuations refuting succ
         lg = _comp(_prefix(pre, lctx, len(lctx)), g.rv)   # [lctx];[g]
@@ -258,16 +274,16 @@ def _peel(lctx, f, rctx, succ, memo, budget, restricted, pre, suf):
                 tv = _comp(tv, rctx[j - 1].rv)
             elif restricted:
                 continue
-            if (j < m and not nr) or tv & yf:
+            if (j < m and alone) or tv & yf:
                 continue
             # lctx, g, rctx[j:] -> succ
             if _comp(lg, _suffix(suf, rctx, m - j)) & sf:
                 continue
-            p1 = search(rctx[:j], y, memo, budget, restricted, True)
+            p1 = sub(rctx[:j], y, memo, budget, restricted, True)
             if p1 is None:
                 continue
             rest = _peel(lctx, g, rctx[j:], succ, memo, budget, restricted,
-                         pre, suf)
+                         pre, suf, sub)
             if rest is None:
                 continue
             if conclusion is None:

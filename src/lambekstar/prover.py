@@ -1,21 +1,27 @@
 """Cut-free sequent provers.
 
-Two engines share one public API:
+One engine serves the public API.  :func:`prove` hands every sequent to
+the general engine (``_general``), which covers the full vocabulary
+(``.``, ``1``, ``|``, ``&`` and positive ``^*``/``^+``):
 
-* a focused kernel (:mod:`lambekstar._search`) for division-pure
-  sequents — atoms, ``\\`` and ``/`` only;
-* a general backward-chaining engine for the full vocabulary
-  (``.``, ``1``, ``|``, ``&`` and positive ``^*``/``^+``).
+* every division-pure state (atoms, ``\\`` and ``/`` only), the root
+  included, goes to the focused kernel, :mod:`lambekstar._search`;
+* otherwise the invertible rules apply eagerly, then the kernel's
+  relational test, the right rules ``->.``, ``->|k`` and ``->*_k``, and
+  on the left ``&->k`` and the kernel's focus on a ``\\`` or ``/``
+  formula (``_search._peel``), with this engine as its sub-search.
 
-Both return finished :class:`~lambekstar.formula.Derivation` certificates.
-``A^+`` is rewritten to ``A.A^*`` on entry (so derivations use the closed
+``->*_k`` and the star certificates of :mod:`lambekstar.stars` share one
+block split, ``_star_split``.  Every ``Proved`` carries a finished
+:class:`~lambekstar.formula.Derivation` certificate.  ``A^+`` is
+rewritten to ``A.A^*`` on entry (so derivations use the closed
 rule-label set); ``^*``/``^+`` in negative position and, under Lambek's
 restriction, the unit or any iteration raise :class:`FragmentError` — the
 ω-rule is not searchable.
 
 ``naive_prove`` is an intentionally simple independent oracle: it tries
 every rule at every position with no inversion phases, no head-atom
-focusing and no relational pruning, and shares nothing with the engines
+focusing and no relational pruning, and shares nothing with the search
 beyond the formula terms and the entry normalisation (``_prepare``).
 """
 
@@ -29,7 +35,7 @@ from .checker import assert_valid_derivation, check_derivation
 from .formula import (
     ATOM, UNIT, UNDER, OVER, PROD, STAR, PLUS, OR, AND,
     BudgetError, CertificateError, Derivation, Formula, FragmentError,
-    Prod, Sequent, Star, _Record, _brief, _rebuild, _truth,
+    Prod, Sequent, Star, _ID, _Record, _brief, _rebuild, _truth,
     _values, fg_interp, render_sequent, sequence_image,
 )
 
@@ -149,7 +155,7 @@ def _kinds(sequent: Sequent) -> int:
 
 
 def _prepare(sequent: Sequent, restricted: bool, kinds: int) -> Sequent:
-    """The sequent the engines search and the certificate concludes:
+    """The sequent the search takes and the certificate concludes:
     ``A^+`` rewritten to ``A.A^*``, the fragment checked, the antecedent a
     tuple.  ``kinds`` is :func:`_kinds` of ``sequent``: it alone refuses
     the unit and iteration under Lambek's restriction, and without ``^*``
@@ -182,22 +188,21 @@ def prove(sequent: Sequent, *, restricted: bool = False,
           budget: int = DEFAULT_BUDGET) -> ProofResult:
     """Decide a sequent, producing a derivation certificate when provable.
 
-    One fold of ``kinds`` over the sequent decides both the polarity walk
-    and the engine: without ``^*`` or ``^+`` no formula is rewritten, and
-    a sequent of atoms, ``\\`` and ``/`` alone goes to the focused kernel,
-    anything else to the general engine.  The polarity walk normalises
+    One fold of ``kinds`` over the sequent decides the polarity walk:
+    without ``^*`` or ``^+`` no formula is rewritten.  The walk normalises
     ``A^+`` to ``A.A^*``, so the certificate's sequents mention only
     ``^*``, and refuses stars in negative position.  Then the relational
-    values of the subformulas are filled where missing, so that both
-    engines read stored values.  Raises :class:`BudgetError` after
-    ``budget`` expansion steps, which still count in
-    ``session.steps_used``; the session stays sound, because the memo only
-    ever holds finished results.
+    values of the subformulas are filled where missing, so that the
+    search reads stored values, and the general engine searches; it
+    hands a division-pure sequent to the focused kernel at once.  Raises
+    :class:`BudgetError` after ``budget`` expansion steps, which still
+    count in ``session.steps_used``; the session stays sound, because the
+    memo only ever holds finished results.
     """
     session = _session_for(session, restricted)
     kinds = _kinds(sequent)
     seq = _prepare(sequent, restricted, kinds)
-    # both engines read the stored values of every subformula
+    # the search reads the stored values of every subformula
     succ = seq.succedent
     if succ.rv is None:
         _values(succ)
@@ -206,12 +211,7 @@ def prove(sequent: Sequent, *, restricted: bool = False,
             _values(f)
     box = [budget]
     try:
-        if not kinds & ~_DIVISION:
-            d = _search.search(seq.antecedent, succ, session.memo, box,
-                               restricted)
-        else:
-            d = _general(seq.antecedent, succ, session.memo, box,
-                         restricted)
+        d = _general(seq.antecedent, succ, session.memo, box, restricted)
     finally:
         session.steps_used += budget - box[0]
     result = ProofResult(d is not None, d)
@@ -224,17 +224,22 @@ def prove(sequent: Sequent, *, restricted: bool = False,
 # general engine
 
 def _general(ant: tuple, succ: Formula, memo: dict, budget: list,
-             restricted: bool) -> Derivation | None:
+             restricted: bool, tested: bool = False) -> Derivation | None:
+    """Derivation of ``ant -> succ`` or None.  A division-pure state goes to
+    the kernel, which takes ``tested`` as it is; this engine keys its own
+    states ``(ant, succ)`` like the kernel, and folds ``kinds`` only on a
+    miss."""
     if restricted and not ant:
         return None
-    # the kernel keys its states (ant, succ) and (lctx, f, rctx, succ), so
-    # a key that starts with a formula is never one of them: a session
-    # shared by both engines never hands one engine's derivation to the
-    # other
-    key = (succ, ant)
+    key = (ant, succ)
     hit = memo.get(key, None)
     if hit is not None:
         return hit if hit is not False else None
+    kinds = succ.kinds
+    for f in ant:
+        kinds |= f.kinds
+    if not kinds & ~_DIVISION:
+        return _search.search(ant, succ, memo, budget, restricted, tested)
     b = budget[0] - 1
     if b < 0:
         raise BudgetError("proof-search budget exhausted")
@@ -302,15 +307,11 @@ def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
 
     # non-invertible right rules
     if sk == STAR:
-        if not ant:
-            return Derivation("->*_0", Sequent(ant, succ))
-        dead: set = set()
-        for k in range(1, len(ant) + 1):
-            premises = _blocks(ant, 0, k, succ.left, memo, budget,
-                               restricted, dead)
-            if premises is not None:
-                return Derivation(f"->*_{k}", Sequent(ant, succ),
-                                  tuple(premises))
+        body = succ.left
+        d = _star_split(ant, succ, lambda seg: _general(
+            seg, body, memo, budget, restricted))
+        if d is not None:
+            return d
     elif sk == PROD:
         for i in range(len(ant) + 1):
             p1 = _general(ant[:i], succ.left, memo, budget, restricted)
@@ -327,33 +328,29 @@ def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
         if p is not None:
             return Derivation("->|2", Sequent(ant, succ), (p,))
 
-    # non-invertible left rules
+    # non-invertible left rules: the kernel's left focus on a \ or /
+    # formula, with this engine as its sub-search, under the kernel's
+    # bounds; a formula headed by an atom is tried only against that atom
+    pre = suf = None
+    goal = succ.top
+    last = len(ant) - 1
     for i, f in enumerate(ant):
         k = f.kind
-        if k == UNDER:
-            for j in range(i, -1, -1):
-                pi = ant[j:i]
-                if restricted and not pi:
-                    continue
-                p1 = _general(pi, f.left, memo, budget, restricted)
-                if p1 is None:
-                    continue
-                p2 = _general(ant[:j] + (f.right,) + ant[i + 1:], succ,
-                              memo, budget, restricted)
-                if p2 is not None:
-                    return Derivation("\\->", Sequent(ant, succ), (p1, p2))
-        elif k == OVER:
-            for j in range(i + 1, len(ant) + 1):
-                pi = ant[i + 1:j]
-                if restricted and not pi:
-                    continue
-                p1 = _general(pi, f.right, memo, budget, restricted)
-                if p1 is None:
-                    continue
-                p2 = _general(ant[:i] + (f.left,) + ant[j:], succ,
-                              memo, budget, restricted)
-                if p2 is not None:
-                    return Derivation("/->", Sequent(ant, succ), (p1, p2))
+        if k == UNDER or k == OVER:
+            nl = f.nl
+            nr = f.nr
+            if restricted and (i < nl or last - i < nr):
+                continue
+            if f.top is not None and (f.top != goal or (i and not nl)
+                                      or (i < last and not nr)):
+                continue
+            if pre is None:
+                pre = [_ID]
+                suf = [_ID]
+            d = _search._peel(ant[:i], f, ant[i + 1:], succ, memo, budget,
+                              restricted, pre, suf, _general)
+            if d is not None:
+                return d
         elif k == AND:
             p = _general(ant[:i] + (f.left,) + ant[i + 1:], succ, memo,
                          budget, restricted)
@@ -366,30 +363,37 @@ def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
     return None
 
 
-def _blocks(ant: tuple, i: int, k: int, body: Formula, memo: dict,
-            budget: list, restricted: bool, dead: set) -> list | None:
-    """Derivations of ``ant[i:]`` split into ``k`` non-empty blocks, each
-    concluding ``body``, for the smallest first cut whose rest splits into
-    ``k - 1``, and so on: the first split in the lexicographic order of
-    the cuts.  ``dead`` holds the ``(i, k)`` already found to have no
-    split, shared by every ``k`` of one ``->*_k`` state, so each suffix
-    and block count is searched once and the state costs polynomially
-    many calls where the order of all cuts takes ``2^(n-1)``."""
-    n = len(ant)
-    if k == 1:
-        p = _general(ant[i:], body, memo, budget, restricted)
-        return None if p is None else [p]
-    if (i, k) in dead:
-        return None
-    for j in range(i + 1, n - k + 2):
-        p = _general(ant[i:j], body, memo, budget, restricted)
-        if p is None:
+def _star_split(seq: tuple, star: Formula,
+                block: Callable[[tuple], Derivation | None]
+                ) -> Derivation | None:
+    """``->*_k`` derivation of ``seq -> star`` whose premises are
+    ``block`` of each block, for the shortest first block whose rest
+    splits, and so on; None when no split exists.  A search from the
+    front tries ``seq[i:j]`` for ``j`` ascending, skipping the ends in
+    ``dead``, from which the rest does not split; when no ``j`` is left it
+    marks ``i`` dead and backs up one block.  So ``block`` sees each
+    segment at most once, and the loop needs no recursion."""
+    n = len(seq)
+    dead: set[int] = set()
+    starts: list[int] = []
+    parts: list[Derivation] = []
+    i, j = 0, 1
+    while i < n:
+        if j > n:
+            if not starts:
+                return None
+            dead.add(i)
+            parts.pop()
+            i, j = starts.pop(), i + 1
             continue
-        rest = _blocks(ant, j, k - 1, body, memo, budget, restricted, dead)
-        if rest is not None:
-            return [p] + rest
-    dead.add((i, k))
-    return None
+        if j not in dead:
+            d = block(seq[i:j])
+            if d is not None:
+                starts.append(i)
+                parts.append(d)
+                i = j
+        j += 1
+    return Derivation(f"->*_{len(parts)}", Sequent(seq, star), tuple(parts))
 
 
 # --------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .formula import (
     Unit, _Record, _brief, _sequent_text, division_pure, render_formula,
 )
 from .prover import (_DIVISION, DEFAULT_BUDGET, ProverSession, _polar,
-                     _session_for, normalize_plus, prove)
+                     _session_for, _star_split, normalize_plus, prove)
 
 __all__ = [
     "ApproximationOutcome", "InstanceOutcome",
@@ -299,42 +299,10 @@ def _membership_cert(f: Formula, seq: tuple[Formula, ...],
             result = Derivation("->.", Sequent(seq, f), (left, right))
             break
     elif f.kind == STAR:
-        result = _star_cert(f, seq, memo)
+        result = _star_split(seq, f, lambda block: _membership_cert(
+            f.left, block, memo))
     memo[key] = result
     return result
-
-
-def _star_cert(f: Formula, seq: tuple[Formula, ...],
-               memo: dict) -> Derivation | None:
-    if not seq:
-        return Derivation("->*_0", Sequent((), f), ())
-    body = f.left
-    n = len(seq)
-    # Partition seq into non-empty blocks, each an instance of the body,
-    # taking the shortest first block whose rest also splits.  A search
-    # from the front tries seq[i:j] for j ascending, skipping the starts
-    # in dead, whose rest does not split; when no j is left it marks i
-    # dead and backs up one block.
-    dead: set[int] = set()
-    starts: list[int] = []
-    parts: list[Derivation] = []
-    i, j = 0, 1
-    while i < n:
-        if j > n:
-            if not starts:
-                return None
-            dead.add(i)
-            parts.pop()
-            i, j = starts.pop(), i + 1
-            continue
-        if j not in dead:
-            cert = _membership_cert(body, seq[i:j], memo)
-            if cert is not None:
-                starts.append(i)
-                parts.append(cert)
-                i = j
-        j += 1
-    return Derivation(f"->*_{len(parts)}", Sequent(seq, f), tuple(parts))
 
 
 def instance_soundness(f: Formula, inst: Sequence[Formula]) -> Derivation:

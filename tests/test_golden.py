@@ -35,7 +35,7 @@ from lambekstar import (LambekError, Prod, ProverSession, Sequent, Unit,
 from helpers import (random_division_pure, random_division_sequent,
                      random_star_external)
 
-GOLDEN = "5016bec3c769cfbceda2e3ae1953ea0755e393184d81e3d9b7a5065ea63fe256"
+GOLDEN = "1092096ea5a8c1580a97e8c7db872e051325dca9b8ee25f3eafec7181247c594"
 
 SEED = 20261018
 

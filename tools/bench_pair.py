@@ -14,49 +14,48 @@ fresh checkouts without bytecode caches.  Then, in each checkout:
   and seeds 1..10, odd seeds running the parent first and even
   seeds the change first, with the run length of ``BENCHMARK.json``;
 * ``perfbench/run.py --trace 1`` for every workload and seeds 1..10, in
-  the same alternating order, for the per-layer metrics;
+  the same alternating order, for the per-layer metrics.
+
+Then each one-off run below goes in 10 alternating pairs, the parent
+first in odd pairs, every run in a fresh process, and each side's median
+and quartiles (inclusive method) of every figure are recorded:
+
 * ``refute_alt2`` on the lifted universal grammar
   ``total_plus_to_alt2(S -> a S | b S | a | b)`` to word-length bounds
-  4, 6, 8 and 10, in a fresh process and session, compile included, 3
-  alternating pairs per bound, with each side's median seconds, states
+  4, 6, 8 and 10, in a fresh session, compile included: seconds, states
   and peak RSS per bound;
-* ``import lambekstar`` in a fresh interpreter, 15 times per side,
-  alternating sides: the import's seconds (median and minimum per side),
-  the modules it adds to ``sys.modules`` (outside the package itself),
-  the peak RSS after it (``VmHWM``) and the RSS the import adds
-  (``VmRSS`` after minus before);
+* ``import lambekstar`` in a fresh interpreter: the import's seconds (and
+  each side's minimum), the modules it adds to ``sys.modules`` (outside
+  the package itself), the peak RSS after it (``VmHWM``) and the RSS the
+  import adds (``VmRSS`` after minus before);
 * ``compile_unique`` of the grammar ``S -> A S b | b; A -> a A | ``
-  (unique types of 1,879 and 3,379 nodes), 3 alternating pairs, each run
-  in a fresh process, with each side's median seconds and peak RSS;
+  (unique types of 1,879 and 3,379 nodes): seconds and peak RSS;
 * ``parse_formula`` of the 6,000-deep ``p\\p\\...\\p``, then
   ``render_formula``, ``fg_interp`` and ``hash(derive_identity(f))`` of
-  the parsed chain, then ``instance_soundness(Star(p), (p,) * 6000)``,
-  3 alternating pairs, each run in a fresh process, recording each one's
-  seconds or, when it raises, the exception's class name (a recursive
-  parser, renderer, derivation hash or star block split gives
+  the parsed chain, then ``instance_soundness(Star(p), (p,) * 6000)``:
+  each one's seconds or, when it raises, the exception's class name (a
+  recursive parser, renderer, derivation hash or star block split gives
   ``RecursionError``), and the peak RSS after the render, the image, the
-  hash and the star instance, with each side's medians (a node that
-  keeps its free-group image makes the parse or the image quadratic:
-  about 0.4 to 0.8 s and 155 MB at this depth);
-* small calls, 3 alternating pairs, each run in a fresh process, with
-  each side's medians: the best-of-7 per-call
-  microseconds (2,000 calls a repeat) of ``prove`` on ``p, p\\q -> q`` and
-  of ``instance_soundness`` on ``p, q, q -> p.q^*``, the seconds of one
-  ``prove`` of ``p, ..., p -> p^*`` (22 times ``p``, a star's block
-  split over every block count), and the number of
-  ``Sequent`` and ``Derivation`` objects that one pass over the seed-1
-  stream of the ``small-sequents`` workload builds (each item parsed,
-  then proved or certified as the workload does), counted by wrapping the
-  two classes' ``__init__`` in that process only; in the same pass, the
-  ``stars._membership_cert`` calls (wrapped the same way) and the
-  ``steps_used`` of the focused kernel and of the general engine, each
-  item proved in a fresh session and charged to the kernel when every
-  formula is division-pure;
+  hash and the star instance (a node that keeps its free-group image
+  makes the parse or the image quadratic: about 0.4 to 0.8 s and 155 MB
+  at this depth);
+* small calls: the best-of-7 per-call microseconds (2,000 calls a
+  repeat) of ``prove`` on ``p, p\\q -> q`` and of ``instance_soundness``
+  on ``p, q, q -> p.q^*``; the seconds of one ``prove`` of
+  ``p, ..., p -> p^*`` with 22 and with 200 times ``p`` (a star's block
+  split); and the number of ``Sequent`` and ``Derivation`` objects that
+  one pass over the seed-1 stream of the ``small-sequents`` workload
+  builds (each item parsed, then proved or certified as the workload
+  does), counted by wrapping the two classes' ``__init__`` in that
+  process only; in the same pass, the ``stars._membership_cert`` calls
+  (wrapped the same way) and the ``steps_used`` of division-pure items
+  and of the others (the general engine's), each item proved in a fresh
+  session;
 * ``equivalence_harness(g, "safiullin", 3)`` on the grammar
   ``random_epsfree_grammar(random.Random(14), max_nonterminals=3,
-  max_rules=5)`` of ``tests/helpers.py``, 3 alternating pairs, each run
-  in a fresh process, with each side's median seconds and peak RSS;
-* the tier-1 tests, once per side.
+  max_rules=5)`` of ``tests/helpers.py``: seconds and peak RSS.
+
+Last come the tier-1 tests, once per side.
 
 Every one-off run reads its peak RSS as ``VmHWM`` of its own process,
 from ``/proc/self/status``, not from ``ru_maxrss``: Linux keeps
@@ -92,9 +91,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 BOUNDS = (4, 6, 8, 10)
-SEEDS = 10
-IMPORT_RUNS = 15
-ONE_OFF_PAIRS = 3
+PAIRS = 10          # perfbench seeds, and alternating pairs of each one-off
 
 # prefixed to every snippet: a field of the snippet's own
 # /proc/self/status in MB, for peak RSS (VmHWM) and RSS (VmRSS)
@@ -216,6 +213,10 @@ blocks = parse_sequent(", ".join(["p"] * 22) + " -> p^*")
 t0 = time.perf_counter()
 prove(blocks)
 out["star_blocks_s"] = round(time.perf_counter() - t0, 4)
+blocks = parse_sequent(", ".join(["p"] * 200) + " -> p^*")
+t0 = time.perf_counter()
+prove(blocks)
+out["star_blocks_200_s"] = round(time.perf_counter() - t0, 4)
 items = sequent_stream(1, STREAM_ITEMS)
 built = {Sequent: 0, Derivation: 0}
 for cls in built:
@@ -335,6 +336,8 @@ def tier1(tree: pathlib.Path) -> dict:
 
 
 def quartiles(xs: list[float]) -> dict:
+    if len(xs) == 1:
+        return {"median": xs[0], "q1": xs[0], "q3": xs[0]}
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3}
 
@@ -368,13 +371,17 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def side_medians(runs: list[dict], keys: tuple[str, ...]) -> dict:
-    """Per side, the median of each key over the runs that have it."""
+def side_quartiles(runs: list[dict], keys: tuple[str, ...]) -> dict:
+    """Per side, the median and quartiles of each key over the runs that
+    have it; a single run is its own quartiles."""
     out: dict = {}
     for side in SIDES:
         mine = [r for r in runs if r["side"] == side]
-        out[side] = {k: statistics.median([r[k] for r in mine if k in r])
-                     for k in keys if any(k in r for r in mine)}
+        out[side] = {}
+        for k in keys:
+            xs = [r[k] for r in mine if k in r]
+            if xs:
+                out[side][k] = quartiles(xs)
     return out
 
 
@@ -406,7 +413,7 @@ def main() -> int:
                    f"--seed N --seconds {seconds:g} --trace 0, run "
                    "from fresh checkouts of the parent and of the change "
                    "without bytecode caches",
-        "run_order": f"seeds 1-{SEEDS}; for each seed "
+        "run_order": f"seeds 1-{PAIRS}; for each seed "
                      f"{' then '.join(workloads)}; odd seeds run the parent "
                      "first, even seeds the change first (position_in_pair); "
                      "then the same order again with --trace 1 "
@@ -416,21 +423,20 @@ def main() -> int:
         "universal_grammar": {
             "what": "refute_alt2(total_plus_to_alt2(S -> a S | b S | a | b)"
                     ", bound) in a fresh process and session, compile "
-                    f"included; {ONE_OFF_PAIRS} alternating pairs per "
-                    "bound, parent first in odd pairs; medians by bound",
-            "runs": [], "medians": {}},
+                    f"included; {PAIRS} alternating pairs per bound, "
+                    "parent first in odd pairs; quartiles by bound",
+            "runs": [], "quartiles": {}},
         "import_cost": {
             "what": "import lambekstar in a fresh interpreter: seconds, "
                     "the modules it adds outside the package, peak RSS "
                     "after it (VmHWM) and the RSS it adds (VmRSS); "
-                    f"{IMPORT_RUNS} runs per side, alternating sides, "
-                    "parent first",
-            "runs": [], "medians": {}, "minimum_seconds": {}},
+                    f"{PAIRS} alternating pairs, parent first in odd pairs",
+            "runs": [], "quartiles": {}, "minimum_seconds": {}},
         "compile_large_grammar": {
             "what": "compile_unique(to_gnf2(S -> A S b | b; A -> a A | )) "
-                    f"in a fresh process and session; {ONE_OFF_PAIRS} "
+                    f"in a fresh process and session; {PAIRS} "
                     "alternating pairs, parent first in odd pairs",
-            "runs": [], "medians": {}},
+            "runs": [], "quartiles": {}},
         "deep_parse": {
             "what": "parse_formula, then render_formula, fg_interp and "
                     "the hash of derive_identity, of the 6,000-deep "
@@ -440,25 +446,26 @@ def main() -> int:
                     "(peak_rss_mb), the image (fg_peak_rss_mb), the hash "
                     "(identity_hash_peak_rss_mb) and the star instance "
                     "(star_peak_rss_mb); "
-                    f"{ONE_OFF_PAIRS} alternating pairs, parent first in odd "
+                    f"{PAIRS} alternating pairs, parent first in odd "
                     "pairs",
-            "runs": [], "medians": {}},
+            "runs": [], "quartiles": {}},
         "small_calls": {
             "what": "best-of-7 per-call us of prove(p, p\\q -> q) and of "
                     "instance_soundness(p, q, q -> p.q^*), the seconds of "
-                    "one prove(p x 22 -> p^*), and the Sequent "
+                    "one prove(p x 22 -> p^*) and of one prove(p x 200 -> "
+                    "p^*), and the Sequent "
                     "and Derivation objects, membership calls and kernel "
                     "and general-engine steps of one seed-1 small-sequents "
                     "stream pass, in a fresh process; "
-                    f"{ONE_OFF_PAIRS} alternating pairs, parent first in "
+                    f"{PAIRS} alternating pairs, parent first in "
                     "odd pairs",
-            "runs": [], "medians": {}},
+            "runs": [], "quartiles": {}},
         "equivalence_harness_large_grammar": {
             "what": "equivalence_harness(random_epsfree_grammar("
                     "random.Random(14), max_nonterminals=3, max_rules=5), "
-                    f"'safiullin', 3) in a fresh process; {ONE_OFF_PAIRS} "
+                    f"'safiullin', 3) in a fresh process; {PAIRS} "
                     "alternating pairs, parent first in odd pairs",
-            "runs": [], "medians": {}},
+            "runs": [], "quartiles": {}},
         "tier1": {"what": "python -B -m pytest -q -p no:cacheprovider "
                           "--continue-on-collection-errors in each checkout, "
                           "pytest's reported time; parent first",
@@ -472,7 +479,7 @@ def main() -> int:
         dest.write_text(json.dumps(doc, indent=1) + "\n")
 
     def paired_runs(trace: int, into: list) -> None:
-        for seed in range(1, SEEDS + 1):
+        for seed in range(1, PAIRS + 1):
             order = SIDES if seed % 2 else SIDES[::-1]
             for wl in workloads:
                 for pos, side in enumerate(order, 1):
@@ -493,50 +500,51 @@ def main() -> int:
         paired_runs(0, doc["runs"])
         paired_runs(1, doc["traced_cycles"])
 
-        def alternating(key: str, code: str, pairs: int,
-                        medians: tuple[str, ...],
+        def alternating(key: str, code: str, keys: tuple[str, ...],
                         label: str | None = None) -> None:
-            """``pairs`` alternating pairs of ``code``, parent first in odd
-            pairs; the per-side medians of these runs go in the entry's
-            ``medians``, or in ``medians[label]`` when a label is given."""
+            """``PAIRS`` alternating pairs of ``code``, parent first in odd
+            pairs; the per-side median and quartiles of each of ``keys``
+            over these runs go in the entry's ``quartiles``, or in
+            ``quartiles[label]`` when a label is given."""
             entry = doc[key]
             first = len(entry["runs"])
-            for rnd in range(pairs):
+            for rnd in range(PAIRS):
                 for side in (SIDES if rnd % 2 == 0 else SIDES[::-1]):
                     entry["runs"].append({**snippet(trees[side], code),
                                           "side": side})
-                    got = side_medians(entry["runs"][first:], medians)
+                    got = side_quartiles(entry["runs"][first:], keys)
                     if label is None:
-                        entry["medians"] = got
+                        entry["quartiles"] = got
                     else:
-                        entry["medians"][label] = got
+                        entry["quartiles"][label] = got
                     save()
 
         for bound in BOUNDS:
             alternating("universal_grammar", UNIVERSAL.format(bound=bound),
-                        ONE_OFF_PAIRS, ("seconds", "steps", "peak_rss_mb"),
+                        ("seconds", "steps", "peak_rss_mb"),
                         label=str(bound))
-        alternating("import_cost", IMPORT_COST, IMPORT_RUNS,
+        alternating("import_cost", IMPORT_COST,
                     ("seconds", "rss_mb", "added_rss_mb"))
         doc["import_cost"]["minimum_seconds"] = {
             side: min((r["seconds"] for r in doc["import_cost"]["runs"]
                        if r["side"] == side and "seconds" in r), default=None)
             for side in SIDES}
         save()
-        alternating("compile_large_grammar", COMPILE, ONE_OFF_PAIRS,
+        alternating("compile_large_grammar", COMPILE,
                     ("seconds", "peak_rss_mb"))
-        alternating("deep_parse", DEEP_PARSE, ONE_OFF_PAIRS,
+        alternating("deep_parse", DEEP_PARSE,
                     ("seconds", "render_seconds", "peak_rss_mb",
                      "fg_seconds", "fg_peak_rss_mb", "identity_hash_seconds",
                      "identity_hash_peak_rss_mb", "star_seconds",
                      "star_peak_rss_mb"))
-        alternating("small_calls", SMALL_CALLS, ONE_OFF_PAIRS,
+        alternating("small_calls", SMALL_CALLS,
                     ("prove_us", "instance_soundness_us", "star_blocks_s",
+                     "star_blocks_200_s",
                      "sequents_per_pass", "derivations_per_pass",
                      "membership_calls_per_pass", "kernel_steps_per_pass",
                      "general_steps_per_pass"))
         alternating("equivalence_harness_large_grammar", EQUIVALENCE,
-                    ONE_OFF_PAIRS, ("seconds", "peak_rss_mb"))
+                    ("seconds", "peak_rss_mb"))
         for side in SIDES:
             doc["tier1"]["runs"].append({"side": side,
                                          **tier1(trees[side])})
