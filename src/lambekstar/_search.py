@@ -4,6 +4,12 @@ This is the hot loop of the package, in plain Python.
 
 Strategy, backward from the goal:
 
+  0. close an identity goal ``A -> A`` by the identity expansion of ``A``
+     (:func:`derive_identity`), before any inversion: every ``A -> A`` is
+     derivable, so the goal needs no search.  The expansion stores every
+     sub-identity ``B -> B`` in the memo under ``((B,), B)``, so each one
+     is built once per memo and shared, and a miss costs one step, like
+     one decided state;
   1. invert the succedent to an atom (both right rules are invertible);
   2. refute immediately when, under one of the 64 fixed valuations of
      ``Formula.rv`` (which ``prove`` fills for every subformula before
@@ -60,7 +66,9 @@ node count, so the search never meets a state it is still expanding and
 terminates.  A state is memoised only once it is decided, as its finished
 derivation or False; repeated queries share subtrees, and a search cut
 short leaves nothing behind but finished results.  The memo keys are
-``(ant, succ)`` and ``(lctx, f, rctx, succ)``.
+``(ant, succ)`` and ``(lctx, f, rctx, succ)``; an identity ``B -> B``,
+whether searched for or built as a sub-identity of an expansion, is
+stored under ``((B,), B)``, the key a search of it would use.
 
 The general engine (``prover._general``) keys its own states
 ``(ant, succ)`` too, hands every division-pure one to :func:`search`, and
@@ -75,7 +83,7 @@ from either sub-search.
 
 from .formula import (
     ATOM, UNDER, OVER,
-    BudgetError, Derivation, Sequent, _ID, _comp,
+    BudgetError, Derivation, FragmentError, Sequent, _ID, _brief, _comp,
 )
 
 
@@ -86,13 +94,23 @@ def search(ant, succ, memo, budget, restricted, tested=False):
     formula.  ``memo`` maps search states to Derivation/False.  ``budget``
     is a one-element list of remaining expansion steps, shared across the
     whole call tree.  ``restricted`` refuses empty antecedents everywhere
-    (Lambek's restriction).  ``tested`` says that ``ant -> succ`` is
-    already known to pass the relational test, as every segment
-    ``_peel`` hands down does; a top-level query leaves it False so that
-    the test runs.
+    (Lambek's restriction).  An identity goal ``(A,) -> A`` returns the
+    identity expansion of ``A``, from the memo or built into it for one
+    step.  ``tested`` says that ``ant -> succ`` is already known to pass
+    the relational test, as every segment ``_peel`` hands down does; a
+    top-level query leaves it False so that the test runs.
     """
     if restricted and not ant:
         return None
+    if len(ant) == 1 and ant[0] is succ:
+        hit = memo.get((ant, succ), None)
+        if hit is None:
+            b = budget[0] - 1
+            if b < 0:
+                raise BudgetError("proof-search budget exhausted")
+            budget[0] = b
+            hit = derive_identity(succ, memo)
+        return hit
 
     # invert the succedent down to an atom, keeping the trail so the
     # derivation can be rebuilt for the original sequent
@@ -131,10 +149,50 @@ def search(ant, succ, memo, budget, restricted, tested=False):
     return result
 
 
+def derive_identity(f, memo=None):
+    """Cut-free certificate for ``f -> f`` on division-pure ``f``.
+
+    Built bottom-up from an explicit stack, one derivation per distinct
+    subformula, so depth is bounded by memory alone.  Each sub-identity
+    ``g -> g`` is read from and stored in ``memo`` (a fresh dict when it
+    is None) under ``((g,), g)``, the key :func:`search` gives that
+    sequent.  A subformula that is not an atom, ``\\`` or ``/`` fails;
+    the first one met, in the order the premises are written, is named."""
+    if memo is None:
+        memo = {}
+    todo = [(f, False)]
+    while todo:
+        g, ready = todo.pop()
+        key = ((g,), g)
+        if ready:           # both premises are built
+            a = memo[(g.left,), g.left]
+            b = memo[(g.right,), g.right]
+            if g.kind == UNDER:
+                inner = Derivation("\\->", Sequent((g.left, g), g.right),
+                                   (a, b))
+                memo[key] = Derivation("->\\", Sequent(key[0], g), (inner,))
+            else:
+                inner = Derivation("/->", Sequent((g, g.right), g.left),
+                                   (b, a))
+                memo[key] = Derivation("->/", Sequent(key[0], g), (inner,))
+        elif key in memo:
+            continue
+        elif g.kind == ATOM:
+            memo[key] = Derivation("Ax", Sequent(key[0], g), ())
+        elif g.kind == UNDER:
+            # pushed in reverse: the first premise is built first
+            todo += ((g, True), (g.right, False), (g.left, False))
+        elif g.kind == OVER:
+            todo += ((g, True), (g.left, False), (g.right, False))
+        else:
+            raise FragmentError(
+                f"identity expansion needs a division-pure formula, got "
+                f"{_brief(g)}")
+    return memo[(f,), f]
+
+
 def _solve_atomic(ant, succ, memo, budget, restricted, tested):
     n = len(ant)
-    if n == 1 and ant[0] is succ:
-        return Derivation("Ax", Sequent(ant, succ))
     if n == 0:
         return None
     # pre[k] is the value of ant[:k], suf[k] that of the last k formulas;

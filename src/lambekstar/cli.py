@@ -102,7 +102,8 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     if result.proved:
         assert_valid_derivation(result.derivation, restricted=args.restrict)
         lines.append(render_derivation(result.derivation))
-        record["derivation"] = _derivation_record(result.derivation)
+        if args.json:
+            record["derivation"] = _derivation_record(result.derivation)
         if args.emit_cert:
             with open(args.emit_cert, "w", encoding="utf-8") as fh:
                 fh.write(render_derivation(result.derivation) + "\n")

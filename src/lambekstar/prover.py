@@ -5,7 +5,9 @@ the general engine (``_general``), which covers the full vocabulary
 (``.``, ``1``, ``|``, ``&`` and positive ``^*``/``^+``):
 
 * every division-pure state (atoms, ``\\`` and ``/`` only), the root
-  included, goes to the focused kernel, :mod:`lambekstar._search`;
+  included, goes to the focused kernel, :mod:`lambekstar._search`, which
+  closes an identity goal ``A -> A`` by the identity expansion of ``A``
+  and searches the rest;
 * otherwise the invertible rules apply eagerly, then the kernel's
   relational test, the right rules ``->.``, ``->|k`` and ``->*_k``, and
   on the left ``&->k`` and the kernel's focus on a ``\\`` or ``/``
@@ -194,7 +196,10 @@ def prove(sequent: Sequent, *, restricted: bool = False,
     ``^*``, and refuses stars in negative position.  Then the relational
     values of the subformulas are filled where missing, so that the
     search reads stored values, and the general engine searches; it
-    hands a division-pure sequent to the focused kernel at once.  Raises
+    hands a division-pure sequent to the focused kernel at once, which
+    answers an identity ``A -> A`` with the identity expansion of ``A``
+    for one step, and every later identity of the session that the
+    expansion holds for none.  Raises
     :class:`BudgetError` after ``budget`` expansion steps, which still
     count in ``session.steps_used``; the session stays sound, because the
     memo only ever holds finished results.

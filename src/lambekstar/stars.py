@@ -14,7 +14,10 @@ queries:
   under a division) denotes a set of division-pure sequences — products
   concatenate, stars repeat 0+ times.  Every instance follows from its
   source by ``(->.)``/``(->*_k)`` alone, so one refuted instance certifies
-  underivability of the source sequent.
+  underivability of the source sequent.  The certificates close their
+  division-pure leaves with :func:`derive_identity`, the identity
+  expansion that the search kernel (:mod:`lambekstar._search`) builds its
+  identity goals with; it is re-exported here.
 
 Both directions are one-sided: ``Unrefuted`` never claims derivability
 (the full positive-star theory is not recursively enumerable), it only
@@ -27,9 +30,10 @@ import itertools
 from functools import partial
 from typing import Sequence
 
+from ._search import derive_identity
 from .checker import assert_valid_derivation
 from .formula import (
-    ATOM, OVER, PLUS, PROD, STAR, UNDER,
+    PLUS, PROD, STAR,
     Derivation, Formula, FragmentError, LambekError, Or, Prod, Sequent,
     Unit, _Record, _brief, _sequent_text, division_pure, render_formula,
 )
@@ -241,44 +245,6 @@ def check_instances(s: Sequent, bound: int = 3, *,
 # Instance soundness certificates
 # --------------------------------------------------------------------------
 
-def derive_identity(f: Formula) -> Derivation:
-    """Cut-free certificate for ``f -> f`` on division-pure ``f``.
-
-    Built bottom-up from an explicit stack, one derivation per distinct
-    subformula, so depth is bounded by memory alone.  A subformula that is
-    not an atom, ``\\`` or ``/`` fails; the first one met, in the order the
-    premises are written, is named."""
-    if f.kind == ATOM:
-        return Derivation("Ax", Sequent((f,), f), ())
-    done: dict[Formula, Derivation] = {}
-    todo = [(f, False)]
-    while todo:
-        g, ready = todo.pop()
-        if ready:           # both premises are built
-            if g.kind == UNDER:
-                inner = Derivation("\\->", Sequent((g.left, g), g.right),
-                                   (done[g.left], done[g.right]))
-                done[g] = Derivation("->\\", Sequent((g,), g), (inner,))
-            else:
-                inner = Derivation("/->", Sequent((g, g.right), g.left),
-                                   (done[g.right], done[g.left]))
-                done[g] = Derivation("->/", Sequent((g,), g), (inner,))
-        elif g in done:
-            continue
-        elif g.kind == ATOM:
-            done[g] = Derivation("Ax", Sequent((g,), g), ())
-        elif g.kind == UNDER:
-            # pushed in reverse: the first premise is built first
-            todo += ((g, True), (g.right, False), (g.left, False))
-        elif g.kind == OVER:
-            todo += ((g, True), (g.left, False), (g.right, False))
-        else:
-            raise FragmentError(
-                f"identity expansion needs a division-pure formula, got "
-                f"{_brief(g)}")
-    return done[f]
-
-
 def _membership_cert(f: Formula, seq: tuple[Formula, ...],
                      memo: dict) -> Derivation | None:
     key = (f, seq)
@@ -310,8 +276,9 @@ def instance_soundness(f: Formula, inst: Sequence[Formula]) -> Derivation:
 
     Built by structural recursion: ``(->.)`` splits products, ``(->*_k)``
     groups star repetitions, and division-pure leaves close with identity
-    expansions.  Raises :class:`InstanceMembershipError` when ``inst`` is
-    not an instance of ``f``.
+    expansions, built by the search kernel's :func:`derive_identity`.
+    Raises :class:`InstanceMembershipError` when ``inst`` is not an
+    instance of ``f``.
     """
     source = normalize_plus(f)
     if not _formula_star_external(source):

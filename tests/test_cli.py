@@ -92,6 +92,15 @@ class TestProve:
         assert r.stdout.startswith("Refuted")
         assert r.stderr == ""
 
+    def test_deep_certificate_prints_in_text_mode(self):
+        # the JSON record of a derivation recurses, so text mode, which
+        # prints the rendered certificate alone, must not build it
+        f = "p\\" * 300 + "p"
+        r = run_cli("prove", f"{f} -> {f}")
+        assert r.returncode == 0
+        assert r.stdout.startswith("Proved")
+        assert r.stderr == ""
+
     @pytest.mark.parametrize("text,code,first", [
         ("->1", 0, "Proved"), ("->p", 1, "Refuted"),
     ])

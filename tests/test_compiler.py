@@ -228,8 +228,8 @@ class TestCompileUnique:
         monkeypatch.setattr(_search, "_comp", counted)
         session = ProverSession()
         compile_unique(g, session=session)
-        assert session.steps_used == 8_696
-        assert len(calls) == 110_067
+        assert session.steps_used == 8_655
+        assert len(calls) == 109_949
 
     def test_every_join_raises_over_its_reserved_core(self):
         # two terminals with one rule each: all four joins are one-row

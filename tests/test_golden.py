@@ -35,7 +35,7 @@ from lambekstar import (LambekError, Prod, ProverSession, Sequent, Unit,
 from helpers import (random_division_pure, random_division_sequent,
                      random_star_external)
 
-GOLDEN = "1092096ea5a8c1580a97e8c7db872e051325dca9b8ee25f3eafec7181247c594"
+GOLDEN = "26b07a4928ffb516156d4745735757d33984b52f74efaf470ce06729ae2975b2"
 
 SEED = 20261018
 

@@ -11,10 +11,11 @@ from lambekstar import (And, Atom, BudgetError, CertificateError,
                         FragmentError, Or, Over, Plus, Prod, ProofResult,
                         ProverSession,
                         Sequent, Star, Under, Unit, approximate,
-                        check_derivation, cli, fg_interp,
+                        check_derivation, cli, derive_identity, fg_interp,
                         kernel_backend, naive_prove, normalize_plus,
-                        parse_sequent, prove,
-                        render_derivation, render_sequent, sequence_image,
+                        parse_formula, parse_sequent, prove,
+                        render_derivation, render_formula, render_sequent,
+                        sequence_image,
                         sentinel)
 from lambekstar.checker import assert_valid_derivation
 from lambekstar.formula import AND, OR, PLUS, STAR, Derivation, _truth
@@ -377,15 +378,20 @@ EDGE_SEGMENTS = (
 
 def zero_balanced_sequents(n: int, seed: int = 20261018) -> list:
     """The edge sequents, then seeded division-pure sequents whose
-    antecedent image equals the succedent's: identities, composition chains
-    and random sequents over two atoms, in turn."""
+    antecedent image equals the succedent's: type raisings
+    ``A -> B/(A\\B)`` or ``A -> (B/A)\\B``, composition chains and random
+    sequents over two atoms, in turn.  (An identity ``A -> A`` closes by
+    its expansion without a search, so it would exercise none.)"""
     rng = random.Random(seed)
     out = [parse_sequent(t) for t in EDGE_SEGMENTS]
     while len(out) < n:
         kind = len(out) % 3
         if kind == 0:
-            a = random_division_pure(rng, rng.randint(1, 7))
-            out.append(Sequent((a,), a))
+            a = random_division_pure(rng, rng.randint(1, 6))
+            b = random_division_pure(rng, rng.randint(1, 3))
+            raised = (Over(b, Under(a, b)) if rng.random() < 0.5
+                      else Under(Over(b, a), b))
+            out.append(Sequent((a,), raised))
         elif kind == 1:
             out.append(random_chain(rng))
         else:
@@ -448,7 +454,7 @@ class TestZeroBalanced:
                 assert check_derivation(res.derivation, restricted)
             if sess.steps_used > 1:
                 deep += 1
-        # floors below the seeded counts (561 and 474 unrestricted, 496
+        # floors below the seeded counts (568 and 473 unrestricted, 494
         # and 454 restricted), so the test cannot go vacuous; the relational
         # test refutes many balanced sequents in their first step
         assert provable >= 400 and deep >= 400
@@ -544,6 +550,62 @@ class TestSpineBounds:
         assert res.proved and check_derivation(res.derivation, restricted)
         assert sess.steps_used == 11
         assert len(sess.memo) == 11
+
+
+# --------------------------------------------------------------------------
+# identity goals A -> A close by their identity expansion, without a search
+
+IDENTITIES = ("p", "(p\\q)/(r/p)", "p/(q\\q)", "(q/p)\\(p\\q)/r",
+              "((p\\p)\\p)\\p", "r/(r/r)/q")
+
+
+class TestIdentity:
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_identity_goal_is_its_expansion(self, restricted):
+        rng = random.Random(20261021)
+        formulas = [parse_formula(t) for t in IDENTITIES]
+        formulas += [random_division_pure(rng, rng.randint(2, 9))
+                     for _ in range(40)]
+        for f in formulas:
+            sess = ProverSession(restricted)
+            res = prove(Sequent((f,), f), restricted=restricted,
+                        session=sess)
+            assert res.derivation == derive_identity(f), render_formula(f)
+            assert check_derivation(res.derivation, restricted)
+            assert sess.steps_used == 1
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("division", [Under, Over])
+    def test_deep_identity_goals_prove(self, division, restricted):
+        # 2,000 nested divisions, far above the default recursion limit,
+        # which a peel down the spine would reach
+        f = p
+        for _ in range(2000):
+            f = division(p, f) if division is Under else division(f, p)
+        res = prove(Sequent((f,), f), restricted=restricted)
+        assert res.proved
+        assert check_derivation(res.derivation, restricted)
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_identity_queries_share_the_session_memo(self, restricted):
+        # an identity met as a sub-goal, a denominator's one-formula
+        # segment here, is stored with every sub-identity of its
+        # expansion; a later query for any of them is a memo hit
+        a = parse_formula("(p\\q)/(r/p)")
+        sess = ProverSession(restricted)
+        assert prove(Sequent((a, Under(a, r)), r), restricted=restricted,
+                     session=sess).proved
+        used = sess.steps_used
+        for g in (a, a.left, a.right, p):
+            got = prove(Sequent((g,), g), restricted=restricted,
+                        session=sess).derivation
+            assert got is sess.memo[(g,), g]
+            assert got == derive_identity(g)
+        assert sess.steps_used == used
+        # the top identity's expansion holds its sub-identities' entries
+        inner = sess.memo[(a,), a].premises[0]
+        assert inner.premises[0] is sess.memo[(a.right,), a.right]
+        assert inner.premises[1] is sess.memo[(a.left,), a.left]
 
 
 # --------------------------------------------------------------------------

@@ -40,8 +40,10 @@ and quartiles (inclusive method) of every figure are recorded:
   makes the parse or the image quadratic: about 0.4 to 0.8 s and 155 MB
   at this depth);
 * small calls: the best-of-7 per-call microseconds (2,000 calls a
-  repeat) of ``prove`` on ``p, p\\q -> q`` and of ``instance_soundness``
-  on ``p, q, q -> p.q^*``; the seconds of one ``prove`` of
+  repeat) of ``prove`` on ``p, p\\q -> q`` and on the identity
+  ``(p\\q)/(r/p) -> (p\\q)/(r/p)``, and of ``instance_soundness`` on
+  ``p, q, q -> p.q^*``; the ``steps_used`` of one ``prove`` of that
+  identity in a fresh session; the seconds of one ``prove`` of
   ``p, ..., p -> p^*`` with 22 and with 200 times ``p`` (a star's block
   split); and the number of ``Sequent`` and ``Derivation`` objects that
   one pass over the seed-1 stream of the ``small-sequents`` workload
@@ -209,6 +211,11 @@ inst = parse_sequent("p, q, q -> p.q^*")
 out = {"prove_us": best_us(lambda: prove(s)),
        "instance_soundness_us": best_us(
            lambda: instance_soundness(inst.succedent, inst.antecedent))}
+ident = parse_sequent("(p\\\\q)/(r/p) -> (p\\\\q)/(r/p)")
+out["identity_prove_us"] = best_us(lambda: prove(ident))
+session = ProverSession()
+prove(ident, session=session)
+out["identity_steps"] = session.steps_used
 blocks = parse_sequent(", ".join(["p"] * 22) + " -> p^*")
 t0 = time.perf_counter()
 prove(blocks)
@@ -450,8 +457,10 @@ def main() -> int:
                     "pairs",
             "runs": [], "quartiles": {}},
         "small_calls": {
-            "what": "best-of-7 per-call us of prove(p, p\\q -> q) and of "
-                    "instance_soundness(p, q, q -> p.q^*), the seconds of "
+            "what": "best-of-7 per-call us of prove(p, p\\q -> q), of "
+                    "prove((p\\q)/(r/p) -> (p\\q)/(r/p)) and of "
+                    "instance_soundness(p, q, q -> p.q^*), the steps_used "
+                    "of one prove of that identity, the seconds of "
                     "one prove(p x 22 -> p^*) and of one prove(p x 200 -> "
                     "p^*), and the Sequent "
                     "and Derivation objects, membership calls and kernel "
@@ -538,7 +547,8 @@ def main() -> int:
                      "identity_hash_peak_rss_mb", "star_seconds",
                      "star_peak_rss_mb"))
         alternating("small_calls", SMALL_CALLS,
-                    ("prove_us", "instance_soundness_us", "star_blocks_s",
+                    ("prove_us", "instance_soundness_us",
+                     "identity_prove_us", "identity_steps", "star_blocks_s",
                      "star_blocks_200_s",
                      "sequents_per_pass", "derivations_per_pass",
                      "membership_calls_per_pass", "kernel_steps_per_pass",
