@@ -1,9 +1,10 @@
 """Workbench for the Lambek calculus with iteration.
 
-Sequent provers (focused and general, with independent certificate
-checking), context-free grammar tooling, two grammar-to-type compilers, a
-join/type-synthesis engine, Kleene-star elimination by approximation and by
-instance expansion, and the reduction harnesses tying them together.
+Sequent provers (one focused kernel and a naive oracle, with independent
+certificate checking), context-free grammar tooling, two grammar-to-type
+compilers, a join/type-synthesis engine, Kleene-star elimination by
+approximation and by instance expansion, and the reduction harnesses tying
+them together.
 """
 
 from .formula import (
@@ -19,9 +20,11 @@ from .formula import (
 from .prover import (
     DEFAULT_BUDGET, ProofResult, ProverSession,
     prove, naive_prove, normalize_plus,
-    check_derivation, kernel_backend,
+    kernel_backend,
     ProofRecorder, enable_recording, disable_recording,
 )
+from .checker import check_derivation
+from ._search import derive_identity
 from .cfg import (
     Grammar, GnfCfg, GrammarError, EmptyWordError,
     parse_cfg, render_cfg, cyk_member,
@@ -38,7 +41,7 @@ from .compiler import (
 from .stars import (
     ApproximationOutcome, InstanceOutcome, InstanceMembershipError,
     approximate, check_approximations, is_star_external,
-    instances, check_instances, instance_soundness, derive_identity,
+    instances, check_instances, instance_soundness,
 )
 from .reductions import (
     RefutationWitness, EquivalenceReport, ProbeReport,

@@ -441,7 +441,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the parser, the renderers, the checker, the *-external test,
         # identity expansion, derivation hashing and equality, and the
         # star block split keep explicit stacks or loops; the search
-        # engines, the polarity rewrite at prove entry, instance expansion
+        # kernel, the polarity rewrite at prove entry, instance expansion
         # and membership (per formula level), product elimination in joins
         # and the --json derivation record (json.dumps has its own nesting
         # limit) still recurse, once per nesting level or formula

@@ -13,8 +13,8 @@ that stores them in every node below that lacks them; atoms and ``1``
 have theirs from birth.  The compiler's atoms take 64 valuations chosen
 to refute many kernel states (the generated table ``_CHOSEN_TV``); every
 other atom takes a fixed pseudo-random draw keyed by its name.
-``prove`` fills the values of its sequent before either engine runs, and
-both provers refute through the values alone.
+``prove`` fills the values of its sequent before the search runs, and
+the search's relational test reads them alone.
 Free-group images are not stored: :func:`fg_interp`,
 :func:`sequence_image` and :func:`zero_balanced` compute one by a single
 linear walk over the atom occurrences, for the join precondition, the

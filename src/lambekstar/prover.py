@@ -1,20 +1,9 @@
 """Cut-free sequent provers.
 
-One engine serves the public API.  :func:`prove` hands every sequent to
-the general engine (``_general``), which covers the full vocabulary
-(``.``, ``1``, ``|``, ``&`` and positive ``^*``/``^+``):
-
-* every division-pure state (atoms, ``\\`` and ``/`` only), the root
-  included, goes to the focused kernel, :mod:`lambekstar._search`, which
-  closes an identity goal ``A -> A`` by the identity expansion of ``A``
-  and searches the rest;
-* otherwise the invertible rules apply eagerly, then the kernel's
-  relational test, the right rules ``->.``, ``->|k`` and ``->*_k``, and
-  on the left ``&->k`` and the kernel's focus on a ``\\`` or ``/``
-  formula (``_search._peel``), with this engine as its sub-search.
-
-``->*_k`` and the star certificates of :mod:`lambekstar.stars` share one
-block split, ``_star_split``.  Every ``Proved`` carries a finished
+:func:`prove` prepares a sequent and hands it to the one search kernel,
+:mod:`lambekstar._search`, which decides the full vocabulary (``.``,
+``1``, ``|``, ``&`` and positive ``^*``/``^+`` beside ``\\`` and
+``/``).  Every ``Proved`` carries a finished
 :class:`~lambekstar.formula.Derivation` certificate.  ``A^+`` is
 rewritten to ``A.A^*`` on entry (so derivations use the closed
 rule-label set); ``^*``/``^+`` in negative position and, under Lambek's
@@ -33,18 +22,18 @@ from itertools import combinations
 from typing import Callable
 
 from . import _search
-from .checker import assert_valid_derivation, check_derivation
+from .checker import assert_valid_derivation
 from .formula import (
     ATOM, UNIT, UNDER, OVER, PROD, STAR, PLUS, OR, AND,
     BudgetError, CertificateError, Derivation, Formula, FragmentError,
-    Prod, Sequent, Star, _ID, _Record, _brief, _rebuild, _truth,
-    _values, fg_interp, render_sequent, sequence_image,
+    Prod, Sequent, Star, _Record, _brief, _rebuild, _values, fg_interp,
+    render_sequent, sequence_image,
 )
 
 __all__ = [
     "DEFAULT_BUDGET", "ProofResult", "ProverSession",
     "prove", "naive_prove", "normalize_plus",
-    "check_derivation", "kernel_backend",
+    "kernel_backend",
     "ProofRecorder", "enable_recording", "disable_recording",
 ]
 
@@ -143,7 +132,6 @@ def _refuse_star(a: Formula) -> Formula:
         "iteration rule is an ω-rule and cannot be searched")
 
 
-_DIVISION = 1 << ATOM | 1 << UNDER | 1 << OVER
 _ITER = 1 << STAR | 1 << PLUS
 _SPECIAL = 1 << UNIT | _ITER     # refused under Lambek's restriction
 
@@ -195,11 +183,10 @@ def prove(sequent: Sequent, *, restricted: bool = False,
     ``A^+`` to ``A.A^*``, so the certificate's sequents mention only
     ``^*``, and refuses stars in negative position.  Then the relational
     values of the subformulas are filled where missing, so that the
-    search reads stored values, and the general engine searches; it
-    hands a division-pure sequent to the focused kernel at once, which
-    answers an identity ``A -> A`` with the identity expansion of ``A``
-    for one step, and every later identity of the session that the
-    expansion holds for none.  Raises
+    search reads stored values, and :func:`lambekstar._search.search`
+    decides the sequent.  It answers a division-pure identity ``A -> A``
+    with the identity expansion of ``A`` for one step, and every later
+    identity of the session that the expansion holds for none.  Raises
     :class:`BudgetError` after ``budget`` expansion steps, which still
     count in ``session.steps_used``; the session stays sound, because the
     memo only ever holds finished results.
@@ -216,189 +203,14 @@ def prove(sequent: Sequent, *, restricted: bool = False,
             _values(f)
     box = [budget]
     try:
-        d = _general(seq.antecedent, succ, session.memo, box, restricted)
+        d = _search.search(seq.antecedent, succ, session.memo, box,
+                           restricted)
     finally:
         session.steps_used += budget - box[0]
     result = ProofResult(d is not None, d)
     if d is not None:
         _record(seq, d, restricted)
     return result
-
-
-# --------------------------------------------------------------------------
-# general engine
-
-def _general(ant: tuple, succ: Formula, memo: dict, budget: list,
-             restricted: bool, tested: bool = False) -> Derivation | None:
-    """Derivation of ``ant -> succ`` or None.  A division-pure state goes to
-    the kernel, which takes ``tested`` as it is; this engine keys its own
-    states ``(ant, succ)`` like the kernel, and folds ``kinds`` only on a
-    miss."""
-    if restricted and not ant:
-        return None
-    key = (ant, succ)
-    hit = memo.get(key, None)
-    if hit is not None:
-        return hit if hit is not False else None
-    kinds = succ.kinds
-    for f in ant:
-        kinds |= f.kinds
-    if not kinds & ~_DIVISION:
-        return _search.search(ant, succ, memo, budget, restricted, tested)
-    b = budget[0] - 1
-    if b < 0:
-        raise BudgetError("proof-search budget exhausted")
-    budget[0] = b
-    d = _general_step(ant, succ, memo, budget, restricted)
-    memo[key] = d if d is not None else False
-    return d
-
-
-def _general_step(ant: tuple, succ: Formula, memo: dict, budget: list,
-                  restricted: bool) -> Derivation | None:
-    # the conclusion Sequent(ant, succ) is built only where a derivation
-    # is returned: most states fail, and no result holds theirs
-    sk = succ.kind
-
-    # invertible right rules
-    if sk == UNDER:
-        p = _general((succ.left,) + ant, succ.right, memo, budget, restricted)
-        return None if p is None \
-            else Derivation("->\\", Sequent(ant, succ), (p,))
-    if sk == OVER:
-        p = _general(ant + (succ.right,), succ.left, memo, budget, restricted)
-        return None if p is None \
-            else Derivation("->/", Sequent(ant, succ), (p,))
-    if sk == AND:
-        p1 = _general(ant, succ.left, memo, budget, restricted)
-        if p1 is None:
-            return None
-        p2 = _general(ant, succ.right, memo, budget, restricted)
-        return None if p2 is None \
-            else Derivation("->&", Sequent(ant, succ), (p1, p2))
-
-    # invertible left rules, leftmost applicable position first
-    for i, f in enumerate(ant):
-        k = f.kind
-        if k == PROD:
-            p = _general(ant[:i] + (f.left, f.right) + ant[i + 1:], succ,
-                         memo, budget, restricted)
-            return None if p is None \
-                else Derivation(".->", Sequent(ant, succ), (p,))
-        if k == UNIT:
-            p = _general(ant[:i] + ant[i + 1:], succ, memo, budget,
-                         restricted)
-            return None if p is None \
-                else Derivation("1->", Sequent(ant, succ), (p,))
-        if k == OR:
-            p1 = _general(ant[:i] + (f.left,) + ant[i + 1:], succ, memo,
-                          budget, restricted)
-            if p1 is None:
-                return None
-            p2 = _general(ant[:i] + (f.right,) + ant[i + 1:], succ, memo,
-                          budget, restricted)
-            return None if p2 is None \
-                else Derivation("|->", Sequent(ant, succ), (p1, p2))
-
-    # the relational test of the kernel
-    if _truth(ant) & ~succ.rv:
-        return None
-
-    # axioms
-    if sk == ATOM and len(ant) == 1 and ant[0] is succ:
-        return Derivation("Ax", Sequent(ant, succ))
-    if sk == UNIT and not ant and not restricted:
-        return Derivation("1-Ax", Sequent(ant, succ))
-
-    # non-invertible right rules
-    if sk == STAR:
-        body = succ.left
-        d = _star_split(ant, succ, lambda seg: _general(
-            seg, body, memo, budget, restricted))
-        if d is not None:
-            return d
-    elif sk == PROD:
-        for i in range(len(ant) + 1):
-            p1 = _general(ant[:i], succ.left, memo, budget, restricted)
-            if p1 is None:
-                continue
-            p2 = _general(ant[i:], succ.right, memo, budget, restricted)
-            if p2 is not None:
-                return Derivation("->.", Sequent(ant, succ), (p1, p2))
-    elif sk == OR:
-        p = _general(ant, succ.left, memo, budget, restricted)
-        if p is not None:
-            return Derivation("->|1", Sequent(ant, succ), (p,))
-        p = _general(ant, succ.right, memo, budget, restricted)
-        if p is not None:
-            return Derivation("->|2", Sequent(ant, succ), (p,))
-
-    # non-invertible left rules: the kernel's left focus on a \ or /
-    # formula, with this engine as its sub-search, under the kernel's
-    # bounds; a formula headed by an atom is tried only against that atom
-    pre = suf = None
-    goal = succ.top
-    last = len(ant) - 1
-    for i, f in enumerate(ant):
-        k = f.kind
-        if k == UNDER or k == OVER:
-            nl = f.nl
-            nr = f.nr
-            if restricted and (i < nl or last - i < nr):
-                continue
-            if f.top is not None and (f.top != goal or (i and not nl)
-                                      or (i < last and not nr)):
-                continue
-            if pre is None:
-                pre = [_ID]
-                suf = [_ID]
-            d = _search._peel(ant[:i], f, ant[i + 1:], succ, memo, budget,
-                              restricted, pre, suf, _general)
-            if d is not None:
-                return d
-        elif k == AND:
-            p = _general(ant[:i] + (f.left,) + ant[i + 1:], succ, memo,
-                         budget, restricted)
-            if p is not None:
-                return Derivation("&->1", Sequent(ant, succ), (p,))
-            p = _general(ant[:i] + (f.right,) + ant[i + 1:], succ, memo,
-                         budget, restricted)
-            if p is not None:
-                return Derivation("&->2", Sequent(ant, succ), (p,))
-    return None
-
-
-def _star_split(seq: tuple, star: Formula,
-                block: Callable[[tuple], Derivation | None]
-                ) -> Derivation | None:
-    """``->*_k`` derivation of ``seq -> star`` whose premises are
-    ``block`` of each block, for the shortest first block whose rest
-    splits, and so on; None when no split exists.  A search from the
-    front tries ``seq[i:j]`` for ``j`` ascending, skipping the ends in
-    ``dead``, from which the rest does not split; when no ``j`` is left it
-    marks ``i`` dead and backs up one block.  So ``block`` sees each
-    segment at most once, and the loop needs no recursion."""
-    n = len(seq)
-    dead: set[int] = set()
-    starts: list[int] = []
-    parts: list[Derivation] = []
-    i, j = 0, 1
-    while i < n:
-        if j > n:
-            if not starts:
-                return None
-            dead.add(i)
-            parts.pop()
-            i, j = starts.pop(), i + 1
-            continue
-        if j not in dead:
-            d = block(seq[i:j])
-            if d is not None:
-                starts.append(i)
-                parts.append(d)
-                i = j
-        j += 1
-    return Derivation(f"->*_{len(parts)}", Sequent(seq, star), tuple(parts))
 
 
 # --------------------------------------------------------------------------

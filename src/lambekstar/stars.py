@@ -14,10 +14,10 @@ queries:
   under a division) denotes a set of division-pure sequences — products
   concatenate, stars repeat 0+ times.  Every instance follows from its
   source by ``(->.)``/``(->*_k)`` alone, so one refuted instance certifies
-  underivability of the source sequent.  The certificates close their
-  division-pure leaves with :func:`derive_identity`, the identity
-  expansion that the search kernel (:mod:`lambekstar._search`) builds its
-  identity goals with; it is re-exported here.
+  underivability of the source sequent.  The certificates split star
+  repetitions with the search kernel's ``(->*_k)`` block split and close
+  their division-pure leaves with its identity expansion,
+  ``derive_identity`` (both in :mod:`lambekstar._search`).
 
 Both directions are one-sided: ``Unrefuted`` never claims derivability
 (the full positive-star theory is not recursively enumerable), it only
@@ -30,21 +30,21 @@ import itertools
 from functools import partial
 from typing import Sequence
 
-from ._search import derive_identity
+from ._search import _DIVISION, _star_split, derive_identity
 from .checker import assert_valid_derivation
 from .formula import (
     PLUS, PROD, STAR,
     Derivation, Formula, FragmentError, LambekError, Or, Prod, Sequent,
     Unit, _Record, _brief, _sequent_text, division_pure, render_formula,
 )
-from .prover import (_DIVISION, DEFAULT_BUDGET, ProverSession, _polar,
-                     _session_for, _star_split, normalize_plus, prove)
+from .prover import (DEFAULT_BUDGET, ProverSession, _polar, _session_for,
+                     normalize_plus, prove)
 
 __all__ = [
     "ApproximationOutcome", "InstanceOutcome",
     "InstanceMembershipError", "approximate", "check_approximations",
     "is_star_external", "instances", "check_instances",
-    "instance_soundness", "derive_identity",
+    "instance_soundness",
 ]
 
 

@@ -9,7 +9,7 @@ restriction modes:
   search (the focused kernel);
 * sequents with products and units, and the bounded instances of random
   *-external formulas against their sources and against each other (the
-  general engine);
+  kernel outside the division fragment);
 * the ``compile_unique`` lexicons and goals of the grammar literals used
   across the test suite, and of the alternation lifts of its two-letter
   ones.

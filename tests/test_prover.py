@@ -1,4 +1,5 @@
-"""Provers: focused kernel, general engine, naive oracle, checker."""
+"""Provers: the focused kernel, in and outside the division fragment, the
+naive oracle, the checker."""
 
 from __future__ import annotations
 
@@ -209,7 +210,7 @@ def random_budget_cases(n: int, seed: int = 20261018) -> list:
     """Seeded (sequent text, budget) cases with ids ``random-<k>``.
 
     The sequents are composition chains; every second one gets a product
-    succedent, so it goes to the general engine.  They are derivable, the
+    succedent, outside the division fragment.  They are derivable, the
     sharp case: a search cut short by its budget that left a wrong False in
     the memo would show as a refutation afterwards.  The sequents and ids depend on the seed
     alone; only each budget is scaled to the steps the sequent needs in a
@@ -254,22 +255,37 @@ class TestEngines:
         # p, ..., p -> p^* takes the shortest first block whose rest
         # splits: the root, then one call per one-formula block, where
         # the order of all cut sets takes 2^(n-1)
-        from lambekstar import prover
+        from lambekstar import _search
         calls = []
-        general = prover._general
+        search = _search.search
 
         def counted(*args):
             calls.append(None)
-            return general(*args)
-        monkeypatch.setattr(prover, "_general", counted)
+            return search(*args)
+        monkeypatch.setattr(_search, "search", counted)
         for n in (16, 200):
             calls.clear()
             d = prove(Sequent((p,) * n, Star(p))).derivation
             assert d.rule == f"->*_{n}"
             assert len(calls) == n + 1
 
+    @pytest.mark.parametrize("inverted,plain", [
+        ("-> (p.q)\\(p.q)", "p.q -> p.q"),
+        ("p & q -> r\\(r.p)", "r, p & q -> r.p"),
+        ("p.q -> (p.q)/r\\r", "p.q, (p.q)/r -> r"),
+    ])
+    def test_division_inversion_costs_no_step(self, inverted, plain):
+        # inverting a \ or / succedent opens no state of its own, in the
+        # full vocabulary as in the division fragment
+        used = []
+        for text in (inverted, plain):
+            sess = ProverSession()
+            prove(parse_sequent(text), session=sess)
+            used.append(sess.steps_used)
+        assert used[0] == used[1]
+
     def test_general_engine_matches_oracle_on_full_vocabulary(self, rng):
-        # the general engine against the oracle on sequents with ., 1, |,
+        # the kernel against the oracle on sequents with ., 1, |,
         # & and positive ^*/^+, in both modes; every Proved is checked
         rules: set[str] = set()
         decided = 0
@@ -294,7 +310,7 @@ class TestEngines:
     def test_values_hold_on_every_full_vocabulary_theorem(self, rng):
         # union, intersection and reflexive-transitive closure validate
         # the rules of |, & and positive ^*, so no sequent the oracle
-        # proves fails the relational test of the general engine
+        # proves fails the kernel's relational test
         OR_AND_ITER = 1 << OR | 1 << AND | 1 << STAR | 1 << PLUS
         rich = 0
         for _ in range(1500):
@@ -324,7 +340,7 @@ class TestEngines:
             prove(Sequent((p,), p), session=ProverSession(restricted=True))
 
     def test_shared_session_gives_the_fresh_certificate(self):
-        # the general engine, taking the product apart, decides the state
+        # the kernel, taking the product apart, decides the state
         # "(r\r)\p, p\p\q -> p\q" on the way; asked for that
         # sequent later in the same session, prove must still return the
         # certificate a fresh session gives
@@ -475,8 +491,8 @@ class TestZeroBalanced:
 
     @pytest.mark.parametrize("text", ["p\\p, p -> p.1", "q\\q, q, p -> q.p"])
     def test_general_engine_refutes_relationally(self, text):
-        # equal images, classically valid, underivable: the general engine
-        # runs the kernel's relational test and refutes in its first step
+        # equal images, classically valid, underivable: the kernel's
+        # relational test refutes in the first step
         s = parse_sequent(text)
         sess = ProverSession()
         assert not prove(s, session=sess).proved
@@ -507,7 +523,7 @@ SPINE_EDGES = (
 
 # outside the division fragment a \ or / formula whose head is not an atom
 # takes context: the peel hands the sequent it leaves, with context on both
-# sides of the head, to the general engine; a formula headed by an atom is
+# sides of the head, to the search; a formula headed by an atom is
 # peeled only against that atom, and so never against a compound goal
 PEEL_HEADS = (
     "s, p, p\\(q.r), t -> (s.q).(r.t)", "s, p, p\\(q|r), t -> s.(q|r).t",

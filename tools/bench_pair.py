@@ -51,8 +51,7 @@ and quartiles (inclusive method) of every figure are recorded:
   does), counted by wrapping the two classes' ``__init__`` in that
   process only; in the same pass, the ``stars._membership_cert`` calls
   (wrapped the same way) and the ``steps_used`` of division-pure items
-  and of the others (the general engine's), each item proved in a fresh
-  session;
+  and of full-vocabulary ones, each item proved in a fresh session;
 * ``equivalence_harness(g, "safiullin", 3)`` on the grammar
   ``random_epsfree_grammar(random.Random(14), max_nonterminals=3,
   max_rules=5)`` of ``tests/helpers.py``: seconds and peak RSS.
@@ -236,7 +235,7 @@ def membership(*args, _inner=stars._membership_cert):
     calls[0] += 1
     return _inner(*args)
 stars._membership_cert = membership
-steps = {"kernel": 0, "general": 0}
+steps = {"division": 0, "full": 0}
 for kind, text in items:
     seq = parse_sequent(text)
     if kind == "certify":
@@ -245,12 +244,12 @@ for kind, text in items:
         session = ProverSession()
         prove(seq, session=session)
         pure = all(map(division_pure, (*seq.antecedent, seq.succedent)))
-        steps["kernel" if pure else "general"] += session.steps_used
+        steps["division" if pure else "full"] += session.steps_used
 out.update(sequents_per_pass=built[Sequent],
            derivations_per_pass=built[Derivation],
            membership_calls_per_pass=calls[0],
-           kernel_steps_per_pass=steps["kernel"],
-           general_steps_per_pass=steps["general"])
+           division_steps_per_pass=steps["division"],
+           full_steps_per_pass=steps["full"])
 print(json.dumps(out))
 """
 
@@ -463,9 +462,10 @@ def main() -> int:
                     "of one prove of that identity, the seconds of "
                     "one prove(p x 22 -> p^*) and of one prove(p x 200 -> "
                     "p^*), and the Sequent "
-                    "and Derivation objects, membership calls and kernel "
-                    "and general-engine steps of one seed-1 small-sequents "
-                    "stream pass, in a fresh process; "
+                    "and Derivation objects, membership calls and the "
+                    "steps of division-pure and of full-vocabulary items "
+                    "of one seed-1 small-sequents stream pass, in a fresh "
+                    "process; "
                     f"{PAIRS} alternating pairs, parent first in "
                     "odd pairs",
             "runs": [], "quartiles": {}},
@@ -551,8 +551,8 @@ def main() -> int:
                      "identity_prove_us", "identity_steps", "star_blocks_s",
                      "star_blocks_200_s",
                      "sequents_per_pass", "derivations_per_pass",
-                     "membership_calls_per_pass", "kernel_steps_per_pass",
-                     "general_steps_per_pass"))
+                     "membership_calls_per_pass", "division_steps_per_pass",
+                     "full_steps_per_pass"))
         alternating("equivalence_harness_large_grammar", EQUIVALENCE,
                     ("seconds", "peak_rss_mb"))
         for side in SIDES:
